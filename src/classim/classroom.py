@@ -110,7 +110,6 @@ class SingleName:
 @dataclass(frozen=True)
 class DiverseNames:
     pool: tuple[NameRecord, ...]
-    require_unique_names: bool = False
     kind = "diverse"
 
     def __post_init__(self):
@@ -196,13 +195,8 @@ def _assign_student_ids(n: int, rng: SplitMix64) -> list[str]:
 
 
 def _assign_diverse_names(n: int, strategy: DiverseNames, rng: SplitMix64) -> list[NameRecord]:
-    pool = strategy.pool
-    if strategy.require_unique_names and n > len(pool):
-        raise ValueError(
-            f"unique-name assignment needs n <= pool size ({len(pool)}), got n={n}"
-        )
     by_cell: dict[tuple[str, str], list[NameRecord]] = {}
-    for record in pool:
+    for record in strategy.pool:
         by_cell.setdefault((record.race, record.gender), []).append(record)
     cells = sorted(by_cell)
     rng.shuffle(cells)

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .orchestrator import (
     ExperimentConfig,
+    RequestFailed,
     evaluate_run,
     expand_sweep,
     render_report,
@@ -251,7 +252,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RequestFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

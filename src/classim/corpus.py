@@ -99,12 +99,6 @@ class Item:
     def choice_letters(self) -> tuple[str, ...]:
         return tuple(letter for letter, _ in self.choices)
 
-    def choice_text(self, letter: str) -> str:
-        for key, text in self.choices:
-            if key == letter:
-                return text
-        raise KeyError(letter)
-
     def wrong_letters(self) -> tuple[str, ...]:
         return tuple(c for c in self.choice_letters if c != self.correct_key)
 
@@ -130,13 +124,6 @@ class Corpus:
         out = {g: 0 for g in VALID_GRADES}
         for item in self.items:
             out[item.grade] += 1
-        return out
-
-    def counts_by_grade_difficulty(self) -> dict[tuple[int, str], int]:
-        out: dict[tuple[int, str], int] = {}
-        for item in self.items:
-            key = (item.grade, item.difficulty_label)
-            out[key] = out.get(key, 0) + 1
         return out
 
     def grades_present(self) -> list[int]:

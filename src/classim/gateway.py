@@ -55,7 +55,6 @@ class CompletionRequest:
     temperature: float
     seed: int = 0
     skill: Optional[SkillLevel] = None
-    max_tokens: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -123,8 +122,6 @@ class HttpChatBackend:
             "messages": list(request.prompt.messages()),
             "temperature": request.temperature,
         }
-        if request.max_tokens is not None:
-            payload["max_tokens"] = request.max_tokens
         try:
             response = self._session().post(
                 self.config.endpoint,

@@ -138,9 +138,6 @@ class FitResult:
     ridge: float
     constraint: str = "mean_zero_delta"
 
-    def beta_vector(self) -> np.ndarray:
-        return np.array(list(self.beta.values()), dtype=float)
-
     def delta_vector(self) -> np.ndarray:
         return np.array(list(self.delta.values()), dtype=float)
 
@@ -154,11 +151,6 @@ class FitResult:
             "lambda": self.ridge,
             "constraint": self.constraint,
         }
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json_dict(), handle, indent=2, sort_keys=False)
-            handle.write("\n")
 
     @classmethod
     def load(cls, path: str) -> "FitResult":

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import __version__
 from .classroom import (
@@ -53,6 +53,7 @@ from .metrics import (
 )
 from .promptgen import (
     PromptTemplates,
+    RenderedPrompt,
     render_direct_percentage_prompt,
     render_knowledge_prompt,
     render_student_prompt,
@@ -262,17 +263,19 @@ def _build_rosters(
     return rosters
 
 
+def _gateway_config(config: ExperimentConfig) -> GatewayConfig:
+    return GatewayConfig(
+        endpoint=config.endpoint,
+        model=config.model,
+        timeout=config.timeout,
+        max_retries=config.max_retries,
+        max_in_flight=config.max_in_flight,
+    )
+
+
 def _make_backend(config: ExperimentConfig, corpus: Corpus) -> CompletionBackend:
     if not config.mock:
-        return HttpChatBackend(
-            GatewayConfig(
-                endpoint=config.endpoint,
-                model=config.model,
-                timeout=config.timeout,
-                max_retries=config.max_retries,
-                max_in_flight=config.max_in_flight,
-            )
-        )
+        return HttpChatBackend(_gateway_config(config))
     options = dict(config.mock_options)
     betas = options.pop("skill_betas", None)
     if betas is not None:
@@ -282,27 +285,6 @@ def _make_backend(config: ExperimentConfig, corpus: Corpus) -> CompletionBackend
     if config.skill_weights is not None:
         options.setdefault("mixture", config.distribution())
     return MockStudentModel(corpus=corpus, seed=config.seed, **options)
-
-
-def _make_gateway(
-    config: ExperimentConfig,
-    backend: CompletionBackend,
-    out_dir: Optional[Path],
-) -> Gateway:
-    capture_path = None
-    if config.capture and out_dir is not None:
-        capture_path = str(out_dir / "capture.jsonl")
-    return Gateway(
-        backend,
-        GatewayConfig(
-            endpoint=config.endpoint,
-            model=config.model,
-            timeout=config.timeout,
-            max_retries=config.max_retries,
-            max_in_flight=config.max_in_flight,
-        ),
-        capture_path=capture_path,
-    )
 
 
 @dataclass
@@ -318,13 +300,17 @@ class RunOutcome:
     parse_counts: Dict[str, int] = field(default_factory=dict)
 
 
+class RequestFailed(RuntimeError):
+    """A request still failed after its retries, so the run stopped."""
+
+
 def _prepare_out_dir(
     config: ExperimentConfig, out_dir: Optional[Union[str, Path]], manifest: Dict[str, object]
-) -> Tuple[Optional[Path], List[SimulatedResponse], set]:
+) -> Tuple[Optional[Path], Optional[ResponseLog], List[SimulatedResponse], set]:
     """Create or re-enter a run directory; refuse one built from a
     different configuration."""
     if out_dir is None:
-        return None, [], set()
+        return None, None, [], set()
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     manifest_path = out_path / MANIFEST_NAME
@@ -338,7 +324,7 @@ def _prepare_out_dir(
     _write_json(manifest_path, manifest)
     log = ResponseLog(str(out_path / RESPONSES_NAME))
     done_responses, done_keys = log.open_resumable()
-    return out_path, done_responses, done_keys
+    return out_path, log, done_responses, done_keys
 
 
 def _count_statuses(responses: Sequence[SimulatedResponse]) -> Dict[str, int]:
@@ -348,170 +334,124 @@ def _count_statuses(responses: Sequence[SimulatedResponse]) -> Dict[str, int]:
     return counts
 
 
-def run_simulate(
-    config: ExperimentConfig,
-    out_dir: Optional[Union[str, Path]] = None,
-    backend: Optional[CompletionBackend] = None,
-    max_requests: Optional[int] = None,
-) -> RunOutcome:
-    """Role-play every (student, item, replicate) cell and fit the result.
+# A grader turns one reply into (chosen letter, correct, parse status).
+Grader = Callable[[Item, str], Tuple[Optional[str], int, ParseStatus]]
+Renderer = Callable[[Item, Optional[StudentProfile], PromptTemplates], RenderedPrompt]
 
-    Requests are issued item by item; each item's replies are graded and
-    appended to the log sorted by (student, replicate), which is what
-    makes equal-seed logs byte-identical and interrupted logs a clean
-    prefix. ``max_requests`` stops after that many new completions (used
-    to exercise resumption); the outcome then reports ``completed=False``
-    and carries no fit.
+
+def _grade_choice(item: Item, text: str) -> Tuple[Optional[str], int, ParseStatus]:
+    parsed = parse_answer(text, item.choice_letters)
+    return parsed.chosen, grade_answer(parsed.chosen, item.correct_key), parsed.status
+
+
+def _grade_percentage(item: Item, text: str) -> Tuple[Optional[str], int, ParseStatus]:
+    stated = parse_percentage(text) is not None
+    return None, 0, ParseStatus.PARSED if stated else ParseStatus.FAILED
+
+
+def _collect(
+    config: ExperimentConfig,
+    out_dir: Optional[Union[str, Path]],
+    backend: Optional[CompletionBackend],
+    seated: bool,
+    replicates: int,
+    temperature: float,
+    render: Renderer,
+    grader: Grader,
+    max_requests: Optional[int] = None,
+) -> Tuple[RunOutcome, Corpus]:
+    """The request pipeline every mode runs through.
+
+    A seated mode asks each student of the item's grade roster; the other
+    modes ask from one ``NO_STUDENT`` seat. Each item is one gateway batch
+    over seats x replicates, built in (student, replicate) order, which is
+    also the log order: equal seeds give byte-identical logs and an
+    interrupted log is a clean prefix that a rerun completes. A request
+    that still fails after its retries stops the run with
+    :class:`RequestFailed`; only the replies before it are logged, so a
+    rerun asks for it again. ``max_requests`` stops after that many new
+    completions (used to exercise resumption).
     """
-    if config.mode != "simulate":
-        config = replace(config, mode="simulate")
     corpus = _load_run_corpus(config)
-    rosters = _build_rosters(config, corpus)
     templates = PromptTemplates.load()
-    n_students = sum(len(r) for r in rosters.values())
-    n_requests = sum(
-        len(rosters[item.grade]) * config.replicates for item in corpus
-    )
-    names_repeat = config.strategy == "diverse" and config.n_students > 48
+    seats: Mapping[int, Sequence[Optional[StudentProfile]]]
+    if seated:
+        seats = _build_rosters(config, corpus)
+        n_students = sum(len(roster) for roster in seats.values())
+        names_repeat = config.strategy == "diverse" and any(
+            len({p.identity for p in roster}) < len(roster) for roster in seats.values()
+        )
+    else:
+        seats = {grade: (None,) for grade in corpus.grades_present()}
+        n_students, names_repeat = 0, False
+    n_requests = sum(len(seats[item.grade]) * replicates for item in corpus)
     manifest = build_manifest(
         config, templates, len(corpus), n_students, n_requests, names_repeat
     )
-    out_path, responses, done = _prepare_out_dir(config, out_dir, manifest)
-    log = ResponseLog(str(out_path / RESPONSES_NAME)) if out_path else None
-
-    if backend is None:
-        backend = _make_backend(config, corpus)
-    gateway = _make_gateway(config, backend, out_path)
+    out_path, log, responses, done = _prepare_out_dir(config, out_dir, manifest)
+    capture_path = None
+    if config.capture and out_path is not None:
+        capture_path = str(out_path / "capture.jsonl")
+    gateway = Gateway(
+        backend if backend is not None else _make_backend(config, corpus),
+        _gateway_config(config),
+        capture_path=capture_path,
+    )
 
     issued = 0
-    truncated = False
     for item in corpus:
-        roster = rosters[item.grade]
+        if issued == max_requests:
+            break
         batch: List[CompletionRequest] = []
-        for profile in roster:
-            for replicate in range(config.replicates):
-                key = RequestKey(item.item_id, profile.student_index, replicate)
+        for seat in seats[item.grade]:
+            student_index = NO_STUDENT if seat is None else seat.student_index
+            for replicate in range(replicates):
+                key = RequestKey(item.item_id, student_index, replicate)
                 if key.as_tuple() in done:
                     continue
                 batch.append(
                     CompletionRequest(
-                        prompt=render_student_prompt(item, profile, templates),
+                        prompt=render(item, seat, templates),
                         key=key,
-                        temperature=config.temperature,
+                        temperature=temperature,
                         seed=config.seed,
-                        skill=profile.skill,
+                        skill=None if seat is None else seat.skill,
                     )
                 )
-        if max_requests is not None and issued + len(batch) > max_requests:
+        if max_requests is not None:
             batch = batch[: max_requests - issued]
-            truncated = True
-        if batch:
-            skill_of = {p.student_index: p.skill for p in roster}
-            records = gateway.run(batch)
-            issued += len(batch)
-            graded: List[SimulatedResponse] = []
-            for record in records:
-                parsed = parse_answer(record.text, item.choice_letters)
-                graded.append(
-                    SimulatedResponse(
-                        item_id=item.item_id,
-                        student_index=record.key.student_index,
-                        replicate=record.key.replicate,
-                        skill=skill_of[record.key.student_index].value,
-                        raw=record.text,
-                        chosen=parsed.chosen,
-                        correct=grade_answer(parsed.chosen, item.correct_key),
-                        parse_status=parsed.status.value,
-                    )
-                )
-            graded.sort(key=lambda r: (r.student_index, r.replicate))
-            if log is not None:
-                log.append_batch(graded)
-            responses.extend(graded)
-        if truncated:
-            break
-
-    completed = len(responses) == n_requests
-    outcome = RunOutcome(
-        config=config,
-        manifest=manifest,
-        out_dir=out_path,
-        responses=responses,
-        completed=completed,
-    )
-    if not completed:
-        return outcome
-
-    item_ids = [item.item_id for item in corpus]
-    matrix = build_matrix(responses, item_ids, mask_failed=config.mask_failed)
-    fit = fit_rasch(matrix, FitConfig())
-    rates = matrix.item_success_rates()
-    predictions: Dict[str, Optional[float]] = {}
-    for j, item_id in enumerate(matrix.item_ids):
-        value = float(rates[j])
-        predictions[item_id] = None if math.isnan(value) else value
-    outcome.matrix = matrix
-    outcome.fit = fit
-    outcome.predictions = predictions
-    outcome.parse_counts = _count_statuses(responses)
-    if out_path is not None:
-        fit_payload = fit.to_json_dict()
-        fit_payload["manifest_hash"] = manifest["manifest_hash"]
-        _write_json(out_path / FIT_NAME, fit_payload)
-        _write_json(
-            out_path / PREDICTIONS_NAME,
-            {
-                "manifest_hash": manifest["manifest_hash"],
-                "mode": "simulate",
-                "predictions": predictions,
-                "parse_counts": outcome.parse_counts,
-            },
-        )
-    return outcome
-
-
-def _run_per_item(
-    config: ExperimentConfig,
-    out_dir: Optional[Union[str, Path]],
-    backend: Optional[CompletionBackend],
-    render,
-    parse,
-    temperature: float,
-    replicates: int,
-) -> Tuple[RunOutcome, Corpus]:
-    """Shared driver for the modes that query each item without a roster."""
-    corpus = _load_run_corpus(config)
-    templates = PromptTemplates.load()
-    n_requests = len(corpus) * replicates
-    manifest = build_manifest(config, templates, len(corpus), 0, n_requests, False)
-    out_path, responses, done = _prepare_out_dir(config, out_dir, manifest)
-    log = ResponseLog(str(out_path / RESPONSES_NAME)) if out_path else None
-    if backend is None:
-        backend = _make_backend(config, corpus)
-    gateway = _make_gateway(config, backend, out_path)
-
-    for item in corpus:
-        batch: List[CompletionRequest] = []
-        for replicate in range(replicates):
-            key = RequestKey(item.item_id, NO_STUDENT, replicate)
-            if key.as_tuple() in done:
-                continue
-            batch.append(
-                CompletionRequest(
-                    prompt=render(item, templates),
-                    key=key,
-                    temperature=temperature,
-                    seed=config.seed,
-                )
-            )
         if not batch:
             continue
         records = gateway.run(batch)
-        graded = [parse(item, record) for record in records]
-        graded.sort(key=lambda r: (r.student_index, r.replicate))
+        issued += len(batch)
+        graded: List[SimulatedResponse] = []
+        failure = None
+        for request, record in zip(batch, records):
+            if not record.ok:
+                failure = record
+                break
+            chosen, correct, status = grader(item, record.text)
+            graded.append(
+                SimulatedResponse(
+                    item_id=item.item_id,
+                    student_index=record.key.student_index,
+                    replicate=record.key.replicate,
+                    skill="" if request.skill is None else request.skill.value,
+                    raw=record.text,
+                    chosen=chosen,
+                    correct=correct,
+                    parse_status=status.value,
+                )
+            )
         if log is not None:
             log.append_batch(graded)
         responses.extend(graded)
+        if failure is not None:
+            raise RequestFailed(
+                f"run {out_path or '(in memory)'} stopped: request "
+                f"{failure.key.as_tuple()} failed after {failure.attempts} "
+                f"attempt(s): {failure.error!r}"
+            )
 
     outcome = RunOutcome(
         config=config,
@@ -522,6 +462,61 @@ def _run_per_item(
         parse_counts=_count_statuses(responses),
     )
     return outcome, corpus
+
+
+def run_simulate(
+    config: ExperimentConfig,
+    out_dir: Optional[Union[str, Path]] = None,
+    backend: Optional[CompletionBackend] = None,
+    max_requests: Optional[int] = None,
+) -> RunOutcome:
+    """Role-play every (student, item, replicate) cell and fit the result.
+
+    ``max_requests`` stops after that many new completions (used to
+    exercise resumption); the outcome then reports ``completed=False``
+    and carries no fit.
+    """
+    if config.mode != "simulate":
+        config = replace(config, mode="simulate")
+    outcome, corpus = _collect(
+        config,
+        out_dir,
+        backend,
+        seated=True,
+        replicates=config.replicates,
+        temperature=config.temperature,
+        render=render_student_prompt,
+        grader=_grade_choice,
+        max_requests=max_requests,
+    )
+    if not outcome.completed:
+        return outcome
+
+    item_ids = [item.item_id for item in corpus]
+    matrix = build_matrix(outcome.responses, item_ids, mask_failed=config.mask_failed)
+    fit = fit_rasch(matrix, FitConfig())
+    rates = matrix.item_success_rates()
+    predictions: Dict[str, Optional[float]] = {}
+    for j, item_id in enumerate(matrix.item_ids):
+        value = float(rates[j])
+        predictions[item_id] = None if math.isnan(value) else value
+    outcome.matrix = matrix
+    outcome.fit = fit
+    outcome.predictions = predictions
+    if outcome.out_dir is not None:
+        fit_payload = fit.to_json_dict()
+        fit_payload["manifest_hash"] = outcome.manifest["manifest_hash"]
+        _write_json(outcome.out_dir / FIT_NAME, fit_payload)
+        _write_json(
+            outcome.out_dir / PREDICTIONS_NAME,
+            {
+                "manifest_hash": outcome.manifest["manifest_hash"],
+                "mode": "simulate",
+                "predictions": predictions,
+                "parse_counts": outcome.parse_counts,
+            },
+        )
+    return outcome
 
 
 def run_dpce(
@@ -540,30 +535,15 @@ def run_dpce(
     if config.mode != "dpce":
         config = replace(config, mode="dpce")
     temperature, replicates = _DPCE_VARIANTS[config.dpce_variant]
-
-    def parse(item: Item, record) -> SimulatedResponse:
-        value = parse_percentage(record.text)
-        return SimulatedResponse(
-            item_id=item.item_id,
-            student_index=record.key.student_index,
-            replicate=record.key.replicate,
-            skill="",
-            raw=record.text,
-            chosen=None,
-            correct=0,
-            parse_status=(
-                ParseStatus.PARSED.value if value is not None else ParseStatus.FAILED.value
-            ),
-        )
-
-    outcome, corpus = _run_per_item(
+    outcome, corpus = _collect(
         config,
         out_dir,
         backend,
-        render_direct_percentage_prompt,
-        parse,
-        temperature,
-        replicates,
+        seated=False,
+        replicates=replicates,
+        temperature=temperature,
+        render=lambda item, _, templates: render_direct_percentage_prompt(item, templates),
+        grader=_grade_percentage,
     )
     if not outcome.completed:
         return outcome
@@ -600,22 +580,15 @@ def run_baseline(
     """
     if config.mode != "baseline":
         config = replace(config, mode="baseline")
-
-    def parse(item: Item, record) -> SimulatedResponse:
-        parsed = parse_answer(record.text, item.choice_letters)
-        return SimulatedResponse(
-            item_id=item.item_id,
-            student_index=record.key.student_index,
-            replicate=record.key.replicate,
-            skill="",
-            raw=record.text,
-            chosen=parsed.chosen,
-            correct=grade_answer(parsed.chosen, item.correct_key),
-            parse_status=parsed.status.value,
-        )
-
-    outcome, corpus = _run_per_item(
-        config, out_dir, backend, render_knowledge_prompt, parse, 0.0, 1
+    outcome, corpus = _collect(
+        config,
+        out_dir,
+        backend,
+        seated=False,
+        replicates=1,
+        temperature=0.0,
+        render=lambda item, _, templates: render_knowledge_prompt(item, templates),
+        grader=_grade_choice,
     )
     if not outcome.completed:
         return outcome

@@ -78,10 +78,6 @@ class RenderedPrompt:
     system: str
     user: str
     kind: PromptKind
-    item_id: str
-    student_index: Optional[int] = None
-    # Marker the response is expected to carry; the parser keys off it.
-    answer_marker: str = ANSWER_MARKER
 
     def messages(self) -> Tuple[Dict[str, str], ...]:
         return (
@@ -176,8 +172,6 @@ def render_knowledge_prompt(item: Item, templates: PromptTemplates) -> RenderedP
         system=system,
         user=_check_complete(user, "user"),
         kind=PromptKind.KNOWLEDGE,
-        item_id=item.item_id,
-        answer_marker=ANSWER_MARKER,
     )
 
 
@@ -196,8 +190,6 @@ def render_direct_percentage_prompt(
         system=_check_complete(system, "system"),
         user=_check_complete(user, "user"),
         kind=PromptKind.DIRECT_PERCENTAGE,
-        item_id=item.item_id,
-        answer_marker=PERCENT_MARKER,
     )
 
 
@@ -237,7 +229,4 @@ def render_student_prompt(
         system=_check_complete(system, "system"),
         user=_check_complete(user, "user"),
         kind=PromptKind.STUDENT,
-        item_id=item.item_id,
-        student_index=profile.student_index,
-        answer_marker=ANSWER_MARKER,
     )

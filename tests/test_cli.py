@@ -3,6 +3,7 @@ import json
 import pytest
 
 from classim.cli import main
+from classim.gateway import MockStudentModel
 
 from conftest import make_item_record, write_corpus
 
@@ -35,6 +36,22 @@ class TestSimulateCommand:
         assert "simulate completed: 60 of 60 responses" in captured.out
         assert "abilities:" in captured.out
         assert (out / "predictions.json").exists()
+
+    def test_failed_request_is_a_one_line_error(
+        self, corpus_path, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(self, request):
+            raise RuntimeError("status 400: bad request")
+
+        monkeypatch.setattr(MockStudentModel, "complete", refuse)
+        out = tmp_path / "run"
+        rc = run_cli("baseline", "--corpus", corpus_path, "--mock", "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert str(out) in err
+        assert "('g8-0000', -1, 0)" in err and "status 400: bad request" in err
+        assert not (out / "predictions.json").exists()
 
     def test_missing_corpus_is_an_error(self, capsys):
         rc = run_cli("simulate", "--mock")

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -186,7 +187,7 @@ def test_grade_difficulty_census(corpus_factory):
     corpus = load_corpus(corpus_factory(records))
     assert len(corpus) == 631
     assert corpus.counts_by_grade() == {4: 228, 8: 282, 12: 121}
-    assert corpus.counts_by_grade_difficulty() == shape
+    assert Counter((item.grade, item.difficulty_label) for item in corpus) == shape
     assert corpus.grades_present() == [4, 8, 12]
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -208,7 +209,8 @@ class TestFitResultIO:
     def test_round_trip(self, tmp_path):
         result = fit_rasch(small_stats(seed=17))
         path = str(tmp_path / "fit.json")
-        result.save(path)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(result.to_json_dict(), handle)
         assert FitResult.load(path) == result
 
     def test_json_field_names(self, tmp_path):

@@ -15,6 +15,7 @@ from classim.orchestrator import (
     REPORT_NAME,
     RESPONSES_NAME,
     ExperimentConfig,
+    RequestFailed,
     build_manifest,
     evaluate_predictions,
     evaluate_run,
@@ -232,6 +233,34 @@ class TestSimulate:
         ).read_bytes()
         assert (resumed / FIT_NAME).exists()
 
+    def test_failed_request_stops_run_and_resume_fills_it(self, world):
+        failing = world["root"] / "run_failing"
+        mock = MockStudentModel(
+            corpus=load_corpus(world["corpus_path"]), seed=world["config"].seed
+        )
+        bad_keys = {("g8-0002", 5, 0), ("g8-0005", 0, 0)}
+
+        class FailingOnKeys:
+            def complete(self, request):
+                if request.key.as_tuple() in bad_keys:
+                    raise RuntimeError("backend unavailable")
+                return mock.complete(request)
+
+        with pytest.raises(
+            RequestFailed, match=r"\('g8-0002', 5, 0\).*backend unavailable"
+        ):
+            run_simulate(world["config"], out_dir=failing, backend=FailingOnKeys())
+        reference = (world["run_dir"] / RESPONSES_NAME).read_bytes()
+        prefix = (failing / RESPONSES_NAME).read_bytes()
+        # only the replies before the failed key, never a graded failure
+        assert prefix.count(b"\n") == 2 * N_STUDENTS + 5
+        assert reference.startswith(prefix)
+        assert not (failing / FIT_NAME).exists()
+        assert not (failing / PREDICTIONS_NAME).exists()
+        final = run_simulate(world["config"], out_dir=failing)
+        assert final.completed
+        assert (failing / RESPONSES_NAME).read_bytes() == reference
+
     def test_reusing_directory_for_other_config_fails(self, world):
         with pytest.raises(ValueError, match="different configuration"):
             run_simulate(
@@ -347,6 +376,24 @@ class TestBaseline:
         )
         outcome = run_baseline(config)
         assert set(outcome.predictions.values()) == {0.0}
+
+
+@pytest.mark.parametrize(
+    "run", [run_simulate, run_dpce, run_baseline], ids=["simulate", "dpce", "baseline"]
+)
+def test_torn_log_resumes_to_same_bytes(world, tmp_path, run):
+    config = replace(world["config"], dpce_variant="averaged")
+    run(config, out_dir=tmp_path)
+    log = tmp_path / RESPONSES_NAME
+    full = log.read_bytes()
+    predictions = (tmp_path / PREDICTIONS_NAME).read_bytes()
+    lines = full.splitlines(keepends=True)
+    keep = len(lines) // 3
+    log.write_bytes(b"".join(lines[:keep]) + lines[keep][:20])
+    outcome = run(config, out_dir=tmp_path)
+    assert outcome.completed
+    assert log.read_bytes() == full
+    assert (tmp_path / PREDICTIONS_NAME).read_bytes() == predictions
 
 
 class TestEvaluate:
