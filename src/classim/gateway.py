@@ -14,8 +14,10 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from collections import deque
+from collections.abc import Iterable, Iterator
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Protocol, Sequence, Tuple
 
 import requests
@@ -29,6 +31,11 @@ API_KEY_ENV = "CLASSIM_API_KEY"
 
 # Statuses worth retrying: timeout, throttling, server-side trouble.
 _RETRY_STATUSES = frozenset({408, 429})
+# Statuses whose Retry-After header the gateway honours (RFC 9110 §10.2.3).
+_RETRY_AFTER_STATUSES = frozenset({429, 503})
+# Requests a stream submits ahead of the oldest unconsumed one, per worker;
+# the window is also the reorder buffer.
+WINDOW_PER_WORKER = 4
 
 
 @dataclass(frozen=True, order=True)
@@ -90,7 +97,27 @@ class CompletionBackend(Protocol):
 
 
 class TransientBackendError(RuntimeError):
-    """Failure that is worth retrying (throttle, 5xx, transport)."""
+    """Failure that is worth retrying (throttle, 5xx, transport).
+
+    ``retry_after`` is the wait in seconds the server asked for, if any.
+    """
+
+    def __init__(self, message: str, retry_after: Optional[float] = None) -> None:
+        super().__init__(message)
+        self.retry_after = retry_after
+
+
+def _retry_after(value: Optional[str]) -> Optional[float]:
+    """Seconds of a delta-seconds ``Retry-After`` value; ``None`` for an
+    absent value or one that is not a non-negative number (an HTTP-date
+    included)."""
+    if value is None:
+        return None
+    try:
+        seconds = float(value)
+    except ValueError:
+        return None
+    return seconds if 0.0 <= seconds < math.inf else None
 
 
 class HttpChatBackend:
@@ -132,7 +159,10 @@ class HttpChatBackend:
         except requests.RequestException as exc:
             raise TransientBackendError(f"transport error: {exc}") from exc
         if response.status_code in _RETRY_STATUSES or response.status_code >= 500:
-            raise TransientBackendError(f"status {response.status_code}")
+            retry_after = None
+            if response.status_code in _RETRY_AFTER_STATUSES:
+                retry_after = _retry_after(response.headers.get("Retry-After"))
+            raise TransientBackendError(f"status {response.status_code}", retry_after)
         if response.status_code != 200:
             raise RuntimeError(
                 f"status {response.status_code}: {response.text[:200]}"
@@ -148,12 +178,23 @@ class HttpChatBackend:
 
 
 class Gateway:
-    """Runs batches of completion requests with retries and a worker pool.
+    """Runs completion requests with retries on one worker pool.
 
-    Results come back in request order. A request that exhausts its
-    retries is reported as a failed record, never raised; the caller
-    decides whether a hole in the batch is fatal. Total attempts per
-    request never exceed ``1 + max_retries``.
+    :meth:`stream` takes a lazy sequence of requests and yields one
+    record per request, in request order. One pool of ``max_in_flight``
+    workers serves the whole stream, so ``max_in_flight`` bounds the
+    requests in flight across everything the stream carries, and each
+    worker keeps its connection. At most ``WINDOW_PER_WORKER *
+    max_in_flight`` requests are taken ahead of the oldest record not yet
+    consumed; they are the reorder buffer. Closing the stream cancels
+    every queued request and waits for the running ones. With
+    ``max_in_flight=1`` requests run one by one in the caller's thread.
+
+    A request that exhausts its retries is reported as a failed record,
+    never raised; the caller decides whether a hole is fatal. Total
+    attempts per request never exceed ``1 + max_retries``; between two,
+    the gateway waits the larger of its backoff and the server's
+    ``Retry-After``.
     """
 
     def __init__(
@@ -207,7 +248,8 @@ class Gateway:
             except TransientBackendError as exc:
                 last_error = str(exc)
                 if attempts <= self.config.max_retries:
-                    self._sleep(self._backoff(attempts - 1))
+                    wait = self._backoff(attempts - 1)
+                    self._sleep(max(wait, exc.retry_after or 0.0))
             except Exception as exc:  # non-retryable: fail the key immediately
                 record = CompletionRecord(
                     key=request.key,
@@ -224,13 +266,26 @@ class Gateway:
         self._capture(request, record)
         return record
 
+    def stream(self, requests: Iterable[CompletionRequest]) -> Iterator[CompletionRecord]:
+        if self.config.max_in_flight == 1:
+            # a lone worker thread would only add a hand-off per request
+            yield from map(self._run_one, requests)
+            return
+        window = WINDOW_PER_WORKER * self.config.max_in_flight
+        pending: deque[Future] = deque()
+        pool = ThreadPoolExecutor(max_workers=self.config.max_in_flight)
+        try:
+            for request in requests:
+                pending.append(pool.submit(self._run_one, request))
+                if len(pending) == window:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+
     def run(self, batch: Sequence[CompletionRequest]) -> List[CompletionRecord]:
-        if not batch:
-            return []
-        if self.config.max_in_flight == 1 or len(batch) == 1:
-            return [self._run_one(request) for request in batch]
-        with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
-            return list(pool.map(self._run_one, batch))
+        return list(self.stream(batch))
 
 
 _EPS = 1e-6

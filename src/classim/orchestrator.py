@@ -14,8 +14,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -363,14 +365,16 @@ def _collect(
     """The request pipeline every mode runs through.
 
     A seated mode asks each student of the item's grade roster; the other
-    modes ask from one ``NO_STUDENT`` seat. Each item is one gateway batch
-    over seats x replicates, built in (student, replicate) order, which is
-    also the log order: equal seeds give byte-identical logs and an
-    interrupted log is a clean prefix that a rerun completes. A request
-    that still fails after its retries stops the run with
-    :class:`RequestFailed`; only the replies before it are logged, so a
-    rerun asks for it again. ``max_requests`` stops after that many new
-    completions (used to exercise resumption).
+    modes ask from one ``NO_STUDENT`` seat. The plan covers items in
+    corpus order, then seats, then replicates, and is rendered lazily as
+    one gateway stream consumes it; that order is also the log order:
+    equal seeds give byte-identical logs and an interrupted log is a
+    clean prefix that a rerun completes. Replies are graded as they
+    arrive and appended once per item. A request that still fails after
+    its retries stops the run with :class:`RequestFailed`; only the
+    replies before it are logged, so a rerun asks for it again, and the
+    stream's queued requests are never sent. ``max_requests`` stops after
+    that many new completions (used to exercise resumption).
     """
     corpus = _load_run_corpus(config)
     templates = PromptTemplates.load()
@@ -398,38 +402,49 @@ def _collect(
         capture_path=capture_path,
     )
 
-    issued = 0
-    for item in corpus:
-        if issued == max_requests:
-            break
-        batch: List[CompletionRequest] = []
-        for seat in seats[item.grade]:
-            student_index = NO_STUDENT if seat is None else seat.student_index
-            for replicate in range(replicates):
-                key = RequestKey(item.item_id, student_index, replicate)
-                if key.as_tuple() in done:
-                    continue
-                batch.append(
-                    CompletionRequest(
+    def plan() -> Iterator[CompletionRequest]:
+        issued = 0
+        for item in corpus:
+            for seat in seats[item.grade]:
+                student_index = NO_STUDENT if seat is None else seat.student_index
+                for replicate in range(replicates):
+                    key = RequestKey(item.item_id, student_index, replicate)
+                    if key.as_tuple() in done:
+                        continue
+                    if issued == max_requests:
+                        return
+                    issued += 1
+                    yield CompletionRequest(
                         prompt=render(item, seat, templates),
                         key=key,
                         temperature=temperature,
                         seed=config.seed,
                         skill=None if seat is None else seat.skill,
                     )
-                )
-        if max_requests is not None:
-            batch = batch[: max_requests - issued]
-        if not batch:
-            continue
-        records = gateway.run(batch)
-        issued += len(batch)
-        graded: List[SimulatedResponse] = []
-        failure = None
-        for request, record in zip(batch, records):
+
+    def append(graded: List[SimulatedResponse]) -> None:
+        if log is not None:
+            log.append_batch(graded)
+        responses.extend(graded)
+
+    # The stream and the grading loop each walk the same plan; tee holds
+    # the requests in between, at most the stream's window.
+    sent, queued = itertools.tee(plan())
+    records = gateway.stream(queued)
+    graded: List[SimulatedResponse] = []
+    try:
+        for request, record in zip(sent, records):
+            if graded and graded[-1].item_id != request.key.item_id:
+                append(graded)
+                graded = []
             if not record.ok:
-                failure = record
-                break
+                append(graded)
+                raise RequestFailed(
+                    f"run {out_path or '(in memory)'} stopped: request "
+                    f"{record.key.as_tuple()} failed after {record.attempts} "
+                    f"attempt(s): {record.error!r}"
+                )
+            item = corpus.by_id[request.key.item_id]
             chosen, correct, status = grader(item, record.text)
             graded.append(
                 SimulatedResponse(
@@ -443,15 +458,10 @@ def _collect(
                     parse_status=status.value,
                 )
             )
-        if log is not None:
-            log.append_batch(graded)
-        responses.extend(graded)
-        if failure is not None:
-            raise RequestFailed(
-                f"run {out_path or '(in memory)'} stopped: request "
-                f"{failure.key.as_tuple()} failed after {failure.attempts} "
-                f"attempt(s): {failure.error!r}"
-            )
+    finally:
+        records.close()
+    if graded:
+        append(graded)
 
     outcome = RunOutcome(
         config=config,

@@ -9,6 +9,7 @@ import pytest
 from classim.classroom import SkillLevel
 from classim.corpus import load_corpus
 from classim.gateway import (
+    WINDOW_PER_WORKER,
     CompletionRequest,
     Gateway,
     GatewayConfig,
@@ -123,6 +124,23 @@ def test_results_keep_request_order_under_concurrency():
     assert [r.text for r in records] == [f"echo {i}" for i in range(16)]
 
 
+def test_stream_takes_at_most_its_window_ahead():
+    config = GatewayConfig(max_in_flight=3)
+    window = WINDOW_PER_WORKER * config.max_in_flight
+    taken = []
+
+    def requests():
+        for i in range(5 * window):
+            taken.append(i)
+            yield request(i)
+
+    stream = Gateway(FlakyBackend(failures=0), config).stream(requests())
+    for consumed, record in enumerate(stream):
+        assert record.key == key(consumed)
+        assert len(taken) <= window + consumed
+    assert len(taken) == 5 * window
+
+
 def test_capture_writes_request_and_reply(tmp_path):
     capture = tmp_path / "capture.jsonl"
     gateway = Gateway(
@@ -138,6 +156,8 @@ def test_capture_writes_request_and_reply(tmp_path):
 
 
 class _Script(BaseHTTPRequestHandler):
+    """Answers each POST with the next ``(status, payload[, headers])``."""
+
     script = []
     seen = []
 
@@ -147,9 +167,11 @@ class _Script(BaseHTTPRequestHandler):
         type(self).seen.append(
             {"auth": self.headers.get("Authorization"), "body": body}
         )
-        status, payload = type(self).script.pop(0)
+        status, payload, *headers = type(self).script.pop(0)
         blob = json.dumps(payload).encode("utf-8")
         self.send_response(status)
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(blob)))
         self.end_headers()
@@ -210,6 +232,38 @@ def test_http_backend_retries_server_errors(http_server):
     [record] = gateway.run([request(0)])
     assert record.ok and record.text == "recovered"
     assert record.attempts == 3
+
+
+def test_retry_after_is_honoured_on_429_and_503(http_server):
+    _Script.script.extend(
+        [
+            (503, {}, {"Retry-After": "3"}),
+            (429, {}, {"Retry-After": "0.25"}),  # shorter than the backoff
+            (503, {}, {"Retry-After": "-1"}),
+            (503, {}, {"Retry-After": "inf"}),
+            (429, {}, {"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}),
+            (500, {}, {"Retry-After": "9"}),  # only 429 and 503 carry it
+            (200, _ok_payload("recovered")),
+        ]
+    )
+    sleeps = []
+    config = GatewayConfig(
+        endpoint=endpoint(http_server), max_retries=6, backoff_base=0.5, backoff_cap=8.0
+    )
+    gateway = Gateway(HttpChatBackend(config), config, sleep=sleeps.append)
+    [record] = gateway.run([request(0)])
+    assert record.ok and record.attempts == 7
+    assert sleeps == [3.0, 1.0, 2.0, 4.0, 8.0, 8.0]
+
+
+def test_retry_after_keeps_the_attempt_bound(http_server):
+    _Script.script.extend([(503, {}, {"Retry-After": "2"})] * 2)
+    sleeps = []
+    config = GatewayConfig(endpoint=endpoint(http_server), max_retries=1)
+    gateway = Gateway(HttpChatBackend(config), config, sleep=sleeps.append)
+    [record] = gateway.run([request(0)])
+    assert not record.ok and record.attempts == 2
+    assert sleeps == [2.0]
 
 
 def test_http_backend_rejects_malformed_payload(http_server):

@@ -1,11 +1,13 @@
 import json
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from classim.corpus import load_corpus
-from classim.gateway import MockStudentModel
+from classim.gateway import MockStudentModel, TransientBackendError
 from classim.orchestrator import (
     EVALUATION_CSV_NAME,
     EVALUATION_JSON_NAME,
@@ -27,7 +29,7 @@ from classim.orchestrator import (
     run_simulate,
 )
 from classim.promptgen import PromptTemplates
-from classim.rng import mix64
+from classim.rng import derive_seed, mix64
 
 from conftest import make_item_record, write_corpus
 
@@ -261,6 +263,23 @@ class TestSimulate:
         assert final.completed
         assert (failing / RESPONSES_NAME).read_bytes() == reference
 
+    def test_failed_request_stops_sending(self, world):
+        config = replace(world["config"], n_students=40, max_in_flight=8, max_retries=1)
+        lock = threading.Lock()
+        calls = []
+
+        class AlwaysUnavailable:
+            def complete(self, request):
+                with lock:
+                    calls.append(request.key)
+                raise TransientBackendError("status 503")
+
+        with pytest.raises(RequestFailed, match="status 503"):
+            run_simulate(config, backend=AlwaysUnavailable())
+        # the requests already running may finish their attempts; every
+        # queued one is cancelled (the whole first item would be 80 calls)
+        assert len(calls) <= 2 * config.max_in_flight * (1 + config.max_retries)
+
     def test_reusing_directory_for_other_config_fails(self, world):
         with pytest.raises(ValueError, match="different configuration"):
             run_simulate(
@@ -394,6 +413,46 @@ def test_torn_log_resumes_to_same_bytes(world, tmp_path, run):
     assert outcome.completed
     assert log.read_bytes() == full
     assert (tmp_path / PREDICTIONS_NAME).read_bytes() == predictions
+
+
+class DelayedMock:
+    """The mock's replies, each delayed by a seeded 0-3 ms per key, so
+    requests finish out of order; records the worker threads it ran on."""
+
+    def __init__(self, world):
+        self.mock = MockStudentModel(
+            corpus=load_corpus(world["corpus_path"]), seed=world["config"].seed
+        )
+        self.lock = threading.Lock()
+        self.threads = set()
+
+    def complete(self, request):
+        with self.lock:
+            self.threads.add(threading.current_thread().name)
+        time.sleep((derive_seed(11, "delay", *request.key.as_tuple()) % 4) / 1000.0)
+        return self.mock.complete(request)
+
+
+class TestStream:
+    def test_order_holds_across_item_boundaries(self, world, tmp_path):
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        run_simulate(world["config"], out_dir=serial, backend=DelayedMock(world))
+        config = replace(world["config"], max_in_flight=8)
+        run_simulate(config, out_dir=pooled, backend=DelayedMock(world))
+        log = pooled / RESPONSES_NAME
+        full = log.read_bytes()
+        assert full == (serial / RESPONSES_NAME).read_bytes()
+        lines = full.splitlines(keepends=True)
+        keep = len(lines) // 3
+        log.write_bytes(b"".join(lines[:keep]) + lines[keep][:20])
+        assert run_simulate(config, out_dir=pooled, backend=DelayedMock(world)).completed
+        assert log.read_bytes() == full
+
+    def test_one_pool_serves_the_run(self, world):
+        backend = DelayedMock(world)
+        outcome = run_simulate(replace(world["config"], max_in_flight=8), backend=backend)
+        assert outcome.completed
+        assert 1 < len(backend.threads) <= 8
 
 
 class TestEvaluate:
