@@ -16,7 +16,7 @@ from .classroom import (
     strategy_from_spec,
 )
 from .corpus import Corpus, Item, filter_corpus, load_corpus, save_corpus
-from .gateway import Gateway, GatewayConfig, HttpChatBackend, MockStudentModel
+from .gateway import Gateway, HttpChatBackend, MockStudentModel
 from .irt import FitConfig, FitResult, fit_rasch, rasch_probability
 from .metrics import (
     difficulty_separation,
@@ -51,7 +51,6 @@ __all__ = [
     "load_corpus",
     "save_corpus",
     "Gateway",
-    "GatewayConfig",
     "HttpChatBackend",
     "MockStudentModel",
     "FitConfig",

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from importlib import resources
-from pathlib import Path
 from typing import Optional, Union
 
 from .rng import SplitMix64, derive_seed
@@ -130,18 +129,10 @@ class StudentProfile:
     name_demographics: Optional[tuple[str, str]] = None  # (gender, race)
 
 
-def load_name_pool(path: Optional[str | Path] = None) -> tuple[NameRecord, ...]:
-    """Read the name pool; defaults to the packaged 48-name file.
-
-    The packaged pool is validated strictly (8 gender-by-race cells of 6
-    unique names each); an override file only needs name/gender/race rows.
-    """
-    if path is None:
-        text = resources.files("classim.data").joinpath("names.json").read_text("utf-8")
-        strict = True
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-        strict = False
+def load_name_pool() -> tuple[NameRecord, ...]:
+    """Read the packaged 48-name pool, validated strictly: 8 gender-by-race
+    cells of 6 unique names each."""
+    text = resources.files("classim.data").joinpath("names.json").read_text("utf-8")
     raw = json.loads(text)
     pool = tuple(NameRecord(str(r["name"]), str(r["gender"]), str(r["race"])) for r in raw)
     names = [r.name for r in pool]
@@ -152,12 +143,11 @@ def load_name_pool(path: Optional[str | Path] = None) -> tuple[NameRecord, ...]:
             raise ValueError(f"unknown gender {record.gender!r} for name {record.name!r}")
         if record.race not in RACES:
             raise ValueError(f"unknown race {record.race!r} for name {record.name!r}")
-    if strict:
-        cells: dict[tuple[str, str], int] = {}
-        for record in pool:
-            cells[(record.race, record.gender)] = cells.get((record.race, record.gender), 0) + 1
-        if len(cells) != 8 or any(count != 6 for count in cells.values()):
-            raise ValueError("packaged name pool must hold 6 names per race-gender cell")
+    cells: dict[tuple[str, str], int] = {}
+    for record in pool:
+        cells[(record.race, record.gender)] = cells.get((record.race, record.gender), 0) + 1
+    if len(cells) != 8 or any(count != 6 for count in cells.values()):
+        raise ValueError("packaged name pool must hold 6 names per race-gender cell")
     return pool
 
 

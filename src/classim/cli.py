@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Each subcommand maps onto one driver function. Options given on the
+Each subcommand maps onto one driver function. A run option's ``dest``
+is the :class:`ExperimentConfig` field it sets. Options given on the
 command line win over values from ``--config``, which win over the
 built-in defaults; list-valued ``n_students``/``strategy`` entries in a
-config file turn one invocation into a sweep of runs in sibling
-directories.
+config file turn one ``simulate`` invocation into a sweep of runs in
+sibling directories.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -29,7 +31,9 @@ from .orchestrator import (
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--corpus", help="path to the item corpus JSON")
+    parser.add_argument(
+        "--corpus", dest="corpus_path", help="path to the item corpus JSON"
+    )
     parser.add_argument("--config", help="JSON file with config fields")
     parser.add_argument("--grade", type=int, help="restrict to one grade")
     parser.add_argument("--n", type=int, dest="n_students", help="students per classroom")
@@ -69,46 +73,21 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timeout", type=float)
 
 
-_OVERRIDE_FIELDS = (
-    ("corpus", "corpus_path"),
-    ("grade", "grade"),
-    ("n_students", "n_students"),
-    ("strategy", "strategy"),
-    ("model", "model"),
-    ("endpoint", "endpoint"),
-    ("temperature", "temperature"),
-    ("seed", "seed"),
-    ("mock", "mock"),
-    ("replicates", "replicates"),
-    ("mask_failed", "mask_failed"),
-    ("capture", "capture"),
-    ("max_retries", "max_retries"),
-    ("max_in_flight", "max_in_flight"),
-    ("timeout", "timeout"),
-    ("variant", "dpce_variant"),
-)
+_FIELDS = frozenset(spec.name for spec in fields(ExperimentConfig))
 
 
-def _collect_overrides(args: argparse.Namespace, mode: str) -> Dict[str, object]:
-    overrides: Dict[str, object] = {"mode": mode}
-    for arg_name, field_name in _OVERRIDE_FIELDS:
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            overrides[field_name] = value
-    return overrides
-
-
-def _base_mapping(args: argparse.Namespace, mode: str) -> Dict[str, object]:
-    overrides = _collect_overrides(args, mode)
+def _base_mapping(args: argparse.Namespace) -> Dict[str, object]:
+    base: Dict[str, object] = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-        if not isinstance(raw, dict):
+            base = json.load(handle)
+        if not isinstance(base, dict):
             raise ValueError("config file must hold a JSON object")
-        raw.update(overrides)
-        base = raw
-    else:
-        base = overrides
+    base.update(
+        (name, value)
+        for name, value in vars(args).items()
+        if name in _FIELDS and value is not None
+    )
     if "corpus_path" not in base:
         raise ValueError("a corpus is required (--corpus or config corpus_path)")
     return base
@@ -131,9 +110,15 @@ def _print_outcome(outcome) -> None:
         print(f"artifacts in {outcome.out_dir}")
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    base = _base_mapping(args, "simulate")
-    runs = expand_sweep(base)
+_RUNS = {"simulate": run_simulate, "dpce": run_dpce, "baseline": run_baseline}
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    base = _base_mapping(args)
+    if args.mode == "simulate":
+        runs = expand_sweep(base)
+    else:
+        runs = [("", ExperimentConfig.from_mapping(base))]
     multi = len(runs) > 1
     if multi and not args.out:
         raise ValueError("a sweep needs --out to place its run directories")
@@ -141,26 +126,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         out_dir: Optional[Path] = None
         if args.out:
             out_dir = Path(args.out) / name if multi else Path(args.out)
-        outcome = run_simulate(config, out_dir=out_dir)
+        outcome = _RUNS[args.mode](config, out_dir=out_dir)
         if multi:
             print(f"--- {name} ---")
         _print_outcome(outcome)
-    return 0
-
-
-def _cmd_dpce(args: argparse.Namespace) -> int:
-    base = _base_mapping(args, "dpce")
-    config = ExperimentConfig.from_mapping(base)
-    outcome = run_dpce(config, out_dir=args.out)
-    _print_outcome(outcome)
-    return 0
-
-
-def _cmd_baseline(args: argparse.Namespace) -> int:
-    base = _base_mapping(args, "baseline")
-    config = ExperimentConfig.from_mapping(base)
-    outcome = run_baseline(config, out_dir=args.out)
-    _print_outcome(outcome)
     return 0
 
 
@@ -213,20 +182,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="role-play a classroom over the corpus")
     _add_run_options(p)
-    p.set_defaults(handler=_cmd_simulate)
+    p.set_defaults(handler=_cmd_run, mode="simulate")
 
     p = sub.add_parser("dpce", help="ask the model for per-item success percentages")
     _add_run_options(p)
     p.add_argument(
         "--variant",
+        dest="dpce_variant",
         choices=("greedy", "averaged"),
         help="greedy: one deterministic ask; averaged: ten sampled asks",
     )
-    p.set_defaults(handler=_cmd_dpce)
+    p.set_defaults(handler=_cmd_run, mode="dpce")
 
     p = sub.add_parser("baseline", help="solve each item once as an expert")
     _add_run_options(p)
-    p.set_defaults(handler=_cmd_baseline)
+    p.set_defaults(handler=_cmd_run, mode="baseline")
 
     p = sub.add_parser("evaluate", help="score a finished run against its corpus")
     p.add_argument("--run", required=True, help="run directory")

@@ -120,12 +120,6 @@ class Corpus:
     def __iter__(self):
         return iter(self.items)
 
-    def counts_by_grade(self) -> dict[int, int]:
-        out = {g: 0 for g in VALID_GRADES}
-        for item in self.items:
-            out[item.grade] += 1
-        return out
-
     def grades_present(self) -> list[int]:
         return [g for g in VALID_GRADES if any(i.grade == g for i in self.items)]
 

@@ -29,6 +29,10 @@ from .rng import SplitMix64, derive_seed, normal_pair
 
 API_KEY_ENV = "CLASSIM_API_KEY"
 
+# Backoff before retry n (from 0): BACKOFF_BASE * 2**n seconds, at most BACKOFF_CAP.
+BACKOFF_BASE = 0.5
+BACKOFF_CAP = 8.0
+
 # Statuses worth retrying: timeout, throttling, server-side trouble.
 _RETRY_STATUSES = frozenset({408, 429})
 # Statuses whose Retry-After header the gateway honours (RFC 9110 §10.2.3).
@@ -73,24 +77,6 @@ class CompletionRecord:
     error: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class GatewayConfig:
-    endpoint: str = "http://localhost:8000/v1/chat/completions"
-    model: str = "local-model"
-    timeout: float = 60.0
-    max_retries: int = 3
-    backoff_base: float = 0.5
-    backoff_cap: float = 8.0
-    max_in_flight: int = 8
-    api_key_env: str = API_KEY_ENV
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
-
-
 class CompletionBackend(Protocol):
     def complete(self, request: CompletionRequest) -> str:
         """Return the assistant text for one request. May raise."""
@@ -123,8 +109,10 @@ def _retry_after(value: Optional[str]) -> Optional[float]:
 class HttpChatBackend:
     """POSTs to a chat-completions endpoint and extracts the reply text."""
 
-    def __init__(self, config: GatewayConfig) -> None:
-        self.config = config
+    def __init__(self, endpoint: str, model: str, timeout: float) -> None:
+        self.endpoint = endpoint
+        self.model = model
+        self.timeout = timeout
         self._local = threading.local()
 
     def _session(self) -> requests.Session:
@@ -138,23 +126,23 @@ class HttpChatBackend:
 
     def _headers(self) -> Dict[str, str]:
         headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.config.api_key_env, "")
+        api_key = os.environ.get(API_KEY_ENV, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         return headers
 
     def complete(self, request: CompletionRequest) -> str:
         payload: Dict[str, object] = {
-            "model": self.config.model,
+            "model": self.model,
             "messages": list(request.prompt.messages()),
             "temperature": request.temperature,
         }
         try:
             response = self._session().post(
-                self.config.endpoint,
+                self.endpoint,
                 json=payload,
                 headers=self._headers(),
-                timeout=self.config.timeout,
+                timeout=self.timeout,
             )
         except requests.RequestException as exc:
             raise TransientBackendError(f"transport error: {exc}") from exc
@@ -200,18 +188,18 @@ class Gateway:
     def __init__(
         self,
         backend: CompletionBackend,
-        config: Optional[GatewayConfig] = None,
+        *,
+        max_retries: int,
+        max_in_flight: int,
         sleep: Callable[[float], None] = time.sleep,
         capture_path: Optional[str] = None,
     ) -> None:
         self.backend = backend
-        self.config = config or GatewayConfig()
+        self.max_retries = max_retries
+        self.max_in_flight = max_in_flight
         self._sleep = sleep
         self._capture_path = capture_path
         self._capture_lock = threading.Lock()
-
-    def _backoff(self, attempt: int) -> float:
-        return min(self.config.backoff_cap, self.config.backoff_base * (2.0 ** attempt))
 
     def _capture(self, request: CompletionRequest, record: CompletionRecord) -> None:
         if self._capture_path is None:
@@ -236,7 +224,7 @@ class Gateway:
     def _run_one(self, request: CompletionRequest) -> CompletionRecord:
         attempts = 0
         last_error = "no attempts made"
-        while attempts <= self.config.max_retries:
+        while attempts <= self.max_retries:
             attempts += 1
             try:
                 text = self.backend.complete(request)
@@ -247,8 +235,8 @@ class Gateway:
                 return record
             except TransientBackendError as exc:
                 last_error = str(exc)
-                if attempts <= self.config.max_retries:
-                    wait = self._backoff(attempts - 1)
+                if attempts <= self.max_retries:
+                    wait = min(BACKOFF_CAP, BACKOFF_BASE * 2.0 ** (attempts - 1))
                     self._sleep(max(wait, exc.retry_after or 0.0))
             except Exception as exc:  # non-retryable: fail the key immediately
                 record = CompletionRecord(
@@ -267,13 +255,13 @@ class Gateway:
         return record
 
     def stream(self, requests: Iterable[CompletionRequest]) -> Iterator[CompletionRecord]:
-        if self.config.max_in_flight == 1:
+        if self.max_in_flight == 1:
             # a lone worker thread would only add a hand-off per request
             yield from map(self._run_one, requests)
             return
-        window = WINDOW_PER_WORKER * self.config.max_in_flight
+        window = WINDOW_PER_WORKER * self.max_in_flight
         pending: deque[Future] = deque()
-        pool = ThreadPoolExecutor(max_workers=self.config.max_in_flight)
+        pool = ThreadPoolExecutor(max_workers=self.max_in_flight)
         try:
             for request in requests:
                 pending.append(pool.submit(self._run_one, request))
@@ -348,7 +336,6 @@ class MockStudentModel:
         noise_scale: float = 0.15,
         dpce_constant: Optional[float] = None,
         delta_source: str = "real",
-        quirk_rate: float = 0.0,
         garble_rate: float = 0.0,
     ) -> None:
         if distractor_policy not in ("uniform", "real-marginal"):
@@ -366,7 +353,6 @@ class MockStudentModel:
         self.noise_scale = noise_scale
         self.dpce_constant = dpce_constant
         self.delta_source = delta_source
-        self.quirk_rate = quirk_rate
         self.garble_rate = garble_rate
 
     def item_delta(self, item: Item) -> float:
@@ -434,11 +420,6 @@ class MockStudentModel:
         else:
             letter = self._pick_distractor(item, rng)
         phrase = _REASONING_PHRASES[rng.randrange(len(_REASONING_PHRASES))]
-        if self.quirk_rate > 0.0 and rng.next_float() < self.quirk_rate:
-            # Imperfect but still recoverable shapes seen in real transcripts.
-            if rng.next_float() < 0.5:
-                return str({"reasoning": phrase, "answer key": letter})
-            return f"{phrase}\nAnswer Key: {letter}"
         return json.dumps({"reasoning": phrase, "answer key": letter})
 
     def _expert_reply(self, request: CompletionRequest, item: Item) -> str:

@@ -151,8 +151,6 @@ def difficulty_separation(
     predictions: Mapping[str, float],
     labels: Mapping[str, str],
     mode: str = "hard_vs_easy",
-    hard_label: str = "Hard",
-    easy_label: str = "Easy",
 ) -> DifficultySeparation:
     """How cleanly predicted success rates separate hard items.
 
@@ -170,9 +168,9 @@ def difficulty_separation(
         label = labels.get(item_id)
         if label is None:
             continue
-        if label == hard_label:
+        if label == "Hard":
             hard.append(score)
-        elif mode == "hard_vs_rest" or label == easy_label:
+        elif mode == "hard_vs_rest" or label == "Easy":
             other.append(score)
     return DifficultySeparation(
         auc=mann_whitney_auc(other, hard),

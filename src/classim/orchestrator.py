@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -27,7 +28,6 @@ from .classroom import (
     SkillDistribution,
     SkillLevel,
     StudentProfile,
-    load_name_pool,
     sample_classroom,
     strategy_from_spec,
 )
@@ -36,7 +36,6 @@ from .gateway import (
     CompletionBackend,
     CompletionRequest,
     Gateway,
-    GatewayConfig,
     HttpChatBackend,
     MockStudentModel,
     RequestKey,
@@ -91,6 +90,18 @@ _DPCE_VARIANTS = {
     "averaged": (0.3, 10),
 }
 
+# Fields that must hold an int; ``grade`` may also be None.
+_INT_FIELDS = ("grade", "n_students", "seed", "replicates", "max_retries", "max_in_flight")
+# mock_options keys: the mock's own tunables. Its corpus and seed come from
+# the run, its skill mixture from skill_weights.
+_MOCK_OPTIONS = frozenset(inspect.signature(MockStudentModel).parameters) - {
+    "corpus",
+    "seed",
+    "mixture",
+}
+# Below this many predicted items, p-values come from permutations.
+PERMUTATION_BELOW = 10
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -119,12 +130,29 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("simulate", "dpce", "baseline"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.n_students < 1:
-            raise ValueError("n_students must be >= 1")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if name == "grade" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name, least in (
+            ("n_students", 1),
+            ("replicates", 1),
+            ("max_retries", 0),
+            ("max_in_flight", 1),
+        ):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if self.dpce_variant not in _DPCE_VARIANTS:
-            raise ValueError(f"unknown dpce variant {self.dpce_variant!r}")
+            raise ValueError(f"unknown dpce_variant {self.dpce_variant!r}")
+        if not isinstance(self.mock_options, dict):
+            raise ValueError("mock_options must be a JSON object")
+        unknown = sorted(set(self.mock_options) - _MOCK_OPTIONS)
+        if unknown:
+            raise ValueError(
+                f"unknown mock_options key(s) {unknown}; known: {sorted(_MOCK_OPTIONS)}"
+            )
 
     def distribution(self) -> SkillDistribution:
         if self.skill_weights is None:
@@ -144,18 +172,6 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**raw)  # type: ignore[arg-type]
-
-    @classmethod
-    def from_file(
-        cls, path: Union[str, Path], overrides: Optional[Mapping[str, object]] = None
-    ) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-        if not isinstance(raw, dict):
-            raise ValueError("config file must hold a JSON object")
-        merged = dict(raw)
-        merged.update(overrides or {})
-        return cls.from_mapping(merged)
 
 
 def expand_sweep(
@@ -255,7 +271,7 @@ def _build_rosters(
     grades, so a multi-grade evaluation sees one cohort, not one cohort
     per grade.
     """
-    strategy = strategy_from_spec(config.strategy, name_pool=load_name_pool())
+    strategy = strategy_from_spec(config.strategy)
     dist = config.distribution()
     rosters: Dict[int, List[StudentProfile]] = {}
     for grade in corpus.grades_present():
@@ -265,19 +281,9 @@ def _build_rosters(
     return rosters
 
 
-def _gateway_config(config: ExperimentConfig) -> GatewayConfig:
-    return GatewayConfig(
-        endpoint=config.endpoint,
-        model=config.model,
-        timeout=config.timeout,
-        max_retries=config.max_retries,
-        max_in_flight=config.max_in_flight,
-    )
-
-
 def _make_backend(config: ExperimentConfig, corpus: Corpus) -> CompletionBackend:
     if not config.mock:
-        return HttpChatBackend(_gateway_config(config))
+        return HttpChatBackend(config.endpoint, config.model, config.timeout)
     options = dict(config.mock_options)
     betas = options.pop("skill_betas", None)
     if betas is not None:
@@ -285,7 +291,7 @@ def _make_backend(config: ExperimentConfig, corpus: Corpus) -> CompletionBackend
             SkillLevel(str(k)): float(v) for k, v in dict(betas).items()
         }
     if config.skill_weights is not None:
-        options.setdefault("mixture", config.distribution())
+        options["mixture"] = config.distribution()
     return MockStudentModel(corpus=corpus, seed=config.seed, **options)
 
 
@@ -389,6 +395,8 @@ def _collect(
         seats = {grade: (None,) for grade in corpus.grades_present()}
         n_students, names_repeat = 0, False
     n_requests = sum(len(seats[item.grade]) * replicates for item in corpus)
+    if backend is None:
+        backend = _make_backend(config, corpus)
     manifest = build_manifest(
         config, templates, len(corpus), n_students, n_requests, names_repeat
     )
@@ -397,8 +405,9 @@ def _collect(
     if config.capture and out_path is not None:
         capture_path = str(out_path / "capture.jsonl")
     gateway = Gateway(
-        backend if backend is not None else _make_backend(config, corpus),
-        _gateway_config(config),
+        backend,
+        max_retries=config.max_retries,
+        max_in_flight=config.max_in_flight,
         capture_path=capture_path,
     )
 
@@ -632,11 +641,10 @@ def evaluate_predictions(
     predictions: Mapping[str, Optional[float]],
     corpus: Corpus,
     seed: int = 0,
-    permutation_below: int = 10,
 ) -> Dict[str, object]:
     """Core agreement numbers for one prediction set against the corpus.
 
-    Small samples (< ``permutation_below`` items) get permutation
+    Small samples (< ``PERMUTATION_BELOW`` items) get permutation
     p-values; the t approximation takes over above that.
     """
     sim: List[float] = []
@@ -653,7 +661,7 @@ def evaluate_predictions(
         raise ValueError("need at least 3 predicted items to evaluate")
     labels = {item.item_id: item.difficulty_label for item in corpus}
     pred_map = {item_id: value for item_id, value in zip(used, sim)}
-    use_permutation = len(sim) < permutation_below
+    use_permutation = len(sim) < PERMUTATION_BELOW
     result: Dict[str, object] = {
         "n_items": len(sim),
         "pearson": _correlation_payload(

@@ -1,8 +1,10 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from classim.cli import main
+from classim.cli import build_parser, main
+from classim.orchestrator import ExperimentConfig
 from classim.gateway import MockStudentModel
 
 from conftest import make_item_record, write_corpus
@@ -97,7 +99,17 @@ class TestSimulateCommand:
         for name in ("n4-none", "n6-none"):
             assert (out / name / "predictions.json").exists()
 
-    def test_cli_overrides_config_file(self, corpus_path, tmp_path, capsys):
+
+class TestRunOptions:
+    def test_run_option_dests_are_config_fields(self):
+        parser = build_parser()
+        names = {spec.name for spec in fields(ExperimentConfig)}
+        for mode in ("simulate", "dpce", "baseline"):
+            dests = set(vars(parser.parse_args([mode])))
+            assert dests - {"command", "handler", "config", "out"} <= names
+
+    @pytest.mark.parametrize("mode", ["simulate", "dpce", "baseline"])
+    def test_flag_beats_config_file(self, mode, corpus_path, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text(
             json.dumps(
@@ -106,14 +118,55 @@ class TestSimulateCommand:
                     "mock": True,
                     "max_in_flight": 1,
                     "n_students": 4,
+                    "seed": 1,
+                    "dpce_variant": "averaged",
                 }
             ),
             encoding="utf-8",
         )
-        rc = run_cli("simulate", "--config", str(config), "--n", "7")
+        out = tmp_path / "run"
+        variant = ["--variant", "greedy"] if mode == "dpce" else []
+        rc = run_cli(
+            mode, "--config", str(config), "--n", "7", "--seed", "9",
+            "--out", str(out), *variant,
+        )
         captured = capsys.readouterr()
         assert rc == 0
-        assert "42 of 42 responses" in captured.out  # 6 items x 7 students
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["mode"] == mode
+        settings = manifest["config"]
+        assert (settings["n_students"], settings["seed"]) == (7, 9)
+        assert settings["mock"] and settings["max_in_flight"] == 1
+        assert settings["dpce_variant"] == ("greedy" if mode == "dpce" else "averaged")
+        if mode == "simulate":
+            assert "42 of 42 responses" in captured.out  # 6 items x 7 students
+
+    @pytest.mark.parametrize(
+        "argv, settings, named",
+        [
+            (["simulate", "--max-in-flight", "0"], {}, "max_in_flight"),
+            (["simulate", "--max-retries", "-1"], {}, "max_retries"),
+            (["dpce"], {"n_students": [4, 5]}, "n_students"),
+            (["simulate"], {"n_students": "5"}, "n_students"),
+            (["simulate"], {"mock_options": {"garble": 0.1}}, "garble"),
+        ],
+        ids=["max-in-flight", "max-retries", "dpce-list", "string", "mock-option"],
+    )
+    def test_bad_value_fails_before_the_run_directory(
+        self, argv, settings, named, corpus_path, tmp_path, capsys
+    ):
+        config = tmp_path / "c.json"
+        config.write_text(
+            json.dumps({"corpus_path": corpus_path, "mock": True, **settings}),
+            encoding="utf-8",
+        )
+        out = tmp_path / "run"
+        rc = run_cli(*argv, "--config", str(config), "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert named in err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -9,10 +9,11 @@ import pytest
 from classim.classroom import SkillLevel
 from classim.corpus import load_corpus
 from classim.gateway import (
+    BACKOFF_BASE,
+    BACKOFF_CAP,
     WINDOW_PER_WORKER,
     CompletionRequest,
     Gateway,
-    GatewayConfig,
     HttpChatBackend,
     MockStudentModel,
     RequestKey,
@@ -65,13 +66,15 @@ def request(i=0):
     return CompletionRequest(prompt=Prompt(), key=key(i), temperature=0.0)
 
 
+def make_gateway(backend, max_retries=3, max_in_flight=8, **kwargs):
+    return Gateway(
+        backend, max_retries=max_retries, max_in_flight=max_in_flight, **kwargs
+    )
+
+
 def test_retry_then_success_counts_attempts():
     sleeps = []
-    gateway = Gateway(
-        FlakyBackend(failures=2),
-        GatewayConfig(max_retries=3, backoff_base=0.5, backoff_cap=8.0),
-        sleep=sleeps.append,
-    )
+    gateway = make_gateway(FlakyBackend(failures=2), max_retries=3, sleep=sleeps.append)
     [record] = gateway.run([request()])
     assert record.ok and record.text == "Answer Key: A"
     assert record.attempts == 3
@@ -80,7 +83,7 @@ def test_retry_then_success_counts_attempts():
 
 def test_retries_are_bounded():
     backend = FlakyBackend(failures=99)
-    gateway = Gateway(backend, GatewayConfig(max_retries=2), sleep=lambda _: None)
+    gateway = make_gateway(backend, max_retries=2, sleep=lambda _: None)
     [record] = gateway.run([request()])
     assert not record.ok
     assert record.attempts == 3  # 1 try + 2 retries, never more
@@ -90,7 +93,7 @@ def test_retries_are_bounded():
 
 def test_non_retryable_error_fails_fast():
     backend = FlakyBackend(failures=99, hard_error=True)
-    gateway = Gateway(backend, GatewayConfig(max_retries=5), sleep=lambda _: None)
+    gateway = make_gateway(backend, max_retries=5, sleep=lambda _: None)
     [record] = gateway.run([request()])
     assert not record.ok
     assert record.attempts == 1
@@ -99,13 +102,10 @@ def test_non_retryable_error_fails_fast():
 
 def test_backoff_is_capped():
     sleeps = []
-    gateway = Gateway(
-        FlakyBackend(failures=6),
-        GatewayConfig(max_retries=6, backoff_base=1.0, backoff_cap=4.0),
-        sleep=sleeps.append,
-    )
+    gateway = make_gateway(FlakyBackend(failures=7), max_retries=7, sleep=sleeps.append)
     gateway.run([request()])
-    assert sleeps == [1.0, 2.0, 4.0, 4.0, 4.0, 4.0]
+    assert (BACKOFF_BASE, BACKOFF_CAP) == (0.5, 8.0)  # as the README states
+    assert sleeps == [0.5, 1.0, 2.0, 4.0, 8.0, 8.0, 8.0]
 
 
 def test_results_keep_request_order_under_concurrency():
@@ -117,7 +117,7 @@ def test_results_keep_request_order_under_concurrency():
             time.sleep(0.002 * (7 - req.key.student_index % 8))
             return f"echo {req.key.student_index}"
 
-    gateway = Gateway(JitterBackend(), GatewayConfig(max_in_flight=8))
+    gateway = make_gateway(JitterBackend(), max_in_flight=8)
     batch = [request(i) for i in range(16)]
     records = gateway.run(batch)
     assert [r.key for r in records] == [b.key for b in batch]
@@ -125,8 +125,7 @@ def test_results_keep_request_order_under_concurrency():
 
 
 def test_stream_takes_at_most_its_window_ahead():
-    config = GatewayConfig(max_in_flight=3)
-    window = WINDOW_PER_WORKER * config.max_in_flight
+    window = WINDOW_PER_WORKER * 3
     taken = []
 
     def requests():
@@ -134,7 +133,7 @@ def test_stream_takes_at_most_its_window_ahead():
             taken.append(i)
             yield request(i)
 
-    stream = Gateway(FlakyBackend(failures=0), config).stream(requests())
+    stream = make_gateway(FlakyBackend(failures=0), max_in_flight=3).stream(requests())
     for consumed, record in enumerate(stream):
         assert record.key == key(consumed)
         assert len(taken) <= window + consumed
@@ -143,10 +142,8 @@ def test_stream_takes_at_most_its_window_ahead():
 
 def test_capture_writes_request_and_reply(tmp_path):
     capture = tmp_path / "capture.jsonl"
-    gateway = Gateway(
-        FlakyBackend(failures=0),
-        GatewayConfig(max_retries=0),
-        capture_path=str(capture),
+    gateway = make_gateway(
+        FlakyBackend(failures=0), max_retries=0, capture_path=str(capture)
     )
     gateway.run([request(0), request(1)])
     lines = [json.loads(line) for line in capture.read_text().splitlines()]
@@ -201,11 +198,14 @@ def endpoint(server):
     return f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
 
 
+def http_backend(server, model="local-model"):
+    return HttpChatBackend(endpoint(server), model, timeout=60.0)
+
+
 def test_http_backend_round_trip(http_server, monkeypatch):
     monkeypatch.setenv("CLASSIM_API_KEY", "sekrit")
     _Script.script.append((200, _ok_payload("Answer Key: B")))
-    config = GatewayConfig(endpoint=endpoint(http_server), model="m1")
-    backend = HttpChatBackend(config)
+    backend = http_backend(http_server, model="m1")
     text = backend.complete(request(0))
     assert text == "Answer Key: B"
     seen = _Script.seen[0]
@@ -218,7 +218,7 @@ def test_http_backend_round_trip(http_server, monkeypatch):
 def test_http_backend_omits_auth_without_key(http_server, monkeypatch):
     monkeypatch.delenv("CLASSIM_API_KEY", raising=False)
     _Script.script.append((200, _ok_payload("x")))
-    backend = HttpChatBackend(GatewayConfig(endpoint=endpoint(http_server)))
+    backend = http_backend(http_server)
     backend.complete(request(0))
     assert _Script.seen[0]["auth"] is None
 
@@ -227,8 +227,9 @@ def test_http_backend_retries_server_errors(http_server):
     _Script.script.extend(
         [(500, {}), (429, {}), (200, _ok_payload("recovered"))]
     )
-    config = GatewayConfig(endpoint=endpoint(http_server), max_retries=3)
-    gateway = Gateway(HttpChatBackend(config), config, sleep=lambda _: None)
+    gateway = make_gateway(
+        http_backend(http_server), max_retries=3, sleep=lambda _: None
+    )
     [record] = gateway.run([request(0)])
     assert record.ok and record.text == "recovered"
     assert record.attempts == 3
@@ -247,10 +248,7 @@ def test_retry_after_is_honoured_on_429_and_503(http_server):
         ]
     )
     sleeps = []
-    config = GatewayConfig(
-        endpoint=endpoint(http_server), max_retries=6, backoff_base=0.5, backoff_cap=8.0
-    )
-    gateway = Gateway(HttpChatBackend(config), config, sleep=sleeps.append)
+    gateway = make_gateway(http_backend(http_server), max_retries=6, sleep=sleeps.append)
     [record] = gateway.run([request(0)])
     assert record.ok and record.attempts == 7
     assert sleeps == [3.0, 1.0, 2.0, 4.0, 8.0, 8.0]
@@ -259,8 +257,9 @@ def test_retry_after_is_honoured_on_429_and_503(http_server):
 def test_retry_after_keeps_the_attempt_bound(http_server):
     _Script.script.extend([(503, {}, {"Retry-After": "2"})] * 2)
     sleeps = []
-    config = GatewayConfig(endpoint=endpoint(http_server), max_retries=1)
-    gateway = Gateway(HttpChatBackend(config), config, sleep=sleeps.append)
+    gateway = make_gateway(
+        http_backend(http_server), max_retries=1, sleep=sleeps.append
+    )
     [record] = gateway.run([request(0)])
     assert not record.ok and record.attempts == 2
     assert sleeps == [2.0]
@@ -268,8 +267,9 @@ def test_retry_after_keeps_the_attempt_bound(http_server):
 
 def test_http_backend_rejects_malformed_payload(http_server):
     _Script.script.append((200, {"nonsense": True}))
-    config = GatewayConfig(endpoint=endpoint(http_server), max_retries=1)
-    gateway = Gateway(HttpChatBackend(config), config, sleep=lambda _: None)
+    gateway = make_gateway(
+        http_backend(http_server), max_retries=1, sleep=lambda _: None
+    )
     [record] = gateway.run([request(0)])
     assert not record.ok
     assert record.attempts == 1  # malformed body is not worth retrying
@@ -277,8 +277,9 @@ def test_http_backend_rejects_malformed_payload(http_server):
 
 def test_http_backend_client_error_fails_fast(http_server):
     _Script.script.append((404, {}))
-    config = GatewayConfig(endpoint=endpoint(http_server), max_retries=3)
-    gateway = Gateway(HttpChatBackend(config), config, sleep=lambda _: None)
+    gateway = make_gateway(
+        http_backend(http_server), max_retries=3, sleep=lambda _: None
+    )
     [record] = gateway.run([request(0)])
     assert not record.ok
     assert record.attempts == 1
@@ -460,9 +461,3 @@ def test_mock_validates_options(mock_world):
     with pytest.raises(ValueError):
         MockStudentModel(corpus, seed=1, expert_accuracy=1.5)
 
-
-def test_gateway_config_validation():
-    with pytest.raises(ValueError):
-        GatewayConfig(max_retries=-1)
-    with pytest.raises(ValueError):
-        GatewayConfig(max_in_flight=0)

@@ -83,20 +83,24 @@ class TestConfig:
             {"n_students": 0},
             {"replicates": 0},
             {"dpce_variant": "psychic"},
+            {"max_retries": -1},
+            {"max_in_flight": 0},
+            {"n_students": [4, 5]},
+            {"n_students": "5"},
+            {"replicates": 2.0},
+            {"seed": None},
+            {"max_retries": True},
+            {"max_in_flight": "8"},
+            {"grade": "8"},
+            {"mock_options": {"garble": 0.1}},
+            {"mock_options": {"mixture": {}}},
+            {"mock_options": [["garble_rate", 0.1]]},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        [name] = kwargs
+        with pytest.raises(ValueError, match=name):
             ExperimentConfig(corpus_path="c.json", **kwargs)
-
-    def test_from_file_with_overrides(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(
-            json.dumps({"corpus_path": "c.json", "seed": 1, "n_students": 25}),
-            encoding="utf-8",
-        )
-        config = ExperimentConfig.from_file(path, overrides={"seed": 7})
-        assert (config.seed, config.n_students) == (7, 25)
 
     def test_skill_weights_build_distribution(self):
         config = ExperimentConfig(
