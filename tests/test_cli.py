@@ -99,6 +99,24 @@ class TestSimulateCommand:
         for name in ("n4-none", "n6-none"):
             assert (out / name / "predictions.json").exists()
 
+    def test_cli_overrides_config_file(self, corpus_path, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "corpus_path": corpus_path,
+                    "mock": True,
+                    "max_in_flight": 1,
+                    "n_students": 4,
+                }
+            ),
+            encoding="utf-8",
+        )
+        rc = run_cli("simulate", "--config", str(config), "--n", "7")
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "42 of 42 responses" in captured.out  # 6 items x 7 students
+
 
 class TestRunOptions:
     def test_run_option_dests_are_config_fields(self):
@@ -130,7 +148,7 @@ class TestRunOptions:
             mode, "--config", str(config), "--n", "7", "--seed", "9",
             "--out", str(out), *variant,
         )
-        captured = capsys.readouterr()
+        capsys.readouterr()
         assert rc == 0
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["mode"] == mode
@@ -138,8 +156,6 @@ class TestRunOptions:
         assert (settings["n_students"], settings["seed"]) == (7, 9)
         assert settings["mock"] and settings["max_in_flight"] == 1
         assert settings["dpce_variant"] == ("greedy" if mode == "dpce" else "averaged")
-        if mode == "simulate":
-            assert "42 of 42 responses" in captured.out  # 6 items x 7 students
 
     @pytest.mark.parametrize(
         "argv, settings, named",

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from classim.cli import _base_mapping, build_parser
 from classim.corpus import load_corpus
 from classim.gateway import MockStudentModel, TransientBackendError
 from classim.orchestrator import (
@@ -101,6 +102,18 @@ class TestConfig:
         [name] = kwargs
         with pytest.raises(ValueError, match=name):
             ExperimentConfig(corpus_path="c.json", **kwargs)
+
+    def test_from_file_with_overrides(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(
+            json.dumps({"corpus_path": "c.json", "seed": 1, "n_students": 25}),
+            encoding="utf-8",
+        )
+        args = build_parser().parse_args(
+            ["simulate", "--config", str(path), "--seed", "7"]
+        )
+        config = ExperimentConfig.from_mapping(_base_mapping(args))
+        assert (config.seed, config.n_students) == (7, 25)
 
     def test_skill_weights_build_distribution(self):
         config = ExperimentConfig(
