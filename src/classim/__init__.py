@@ -17,7 +17,7 @@ from .classroom import (
 )
 from .corpus import Corpus, Item, filter_corpus, load_corpus, save_corpus
 from .gateway import Gateway, HttpChatBackend, MockStudentModel
-from .irt import FitConfig, FitResult, fit_rasch, rasch_probability
+from .irt import FitResult, fit_rasch, rasch_probability
 from .metrics import (
     difficulty_separation,
     distractor_match,
@@ -53,7 +53,6 @@ __all__ = [
     "Gateway",
     "HttpChatBackend",
     "MockStudentModel",
-    "FitConfig",
     "FitResult",
     "fit_rasch",
     "rasch_probability",

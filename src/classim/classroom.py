@@ -248,7 +248,7 @@ def sample_classroom(
     ]
 
 
-def strategy_from_spec(spec: str, name_pool: Optional[tuple[NameRecord, ...]] = None) -> IdentifierStrategy:
+def strategy_from_spec(spec: str) -> IdentifierStrategy:
     """Parse a strategy spec string: none | ids | single:<name> | diverse."""
     if spec == "none":
         return NoIdentifier()
@@ -260,5 +260,5 @@ def strategy_from_spec(spec: str, name_pool: Optional[tuple[NameRecord, ...]] = 
             raise ValueError("single-name strategy needs a name, e.g. single:Tameka")
         return SingleName(name)
     if spec == "diverse":
-        return DiverseNames(pool=name_pool if name_pool is not None else load_name_pool())
+        return DiverseNames(pool=load_name_pool())
     raise ValueError(f"unknown identifier strategy {spec!r}")

@@ -307,27 +307,8 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=False), encoding="utf-8")
 
 
-def filter_corpus(
-    corpus: Corpus,
-    grade: Optional[int] = None,
-    content_area: Optional[ContentArea | str] = None,
-    difficulty: Optional[str] = None,
-) -> Corpus:
-    """Subset matching every provided predicate; order preserved."""
-    if content_area is not None and not isinstance(content_area, ContentArea):
-        content_area = parse_content_area(str(content_area))
-    if difficulty is not None and difficulty not in DIFFICULTY_LABELS:
-        raise ValueError(f"unknown difficulty label {difficulty!r}")
-    if grade is not None and grade not in VALID_GRADES:
+def filter_corpus(corpus: Corpus, grade: int) -> Corpus:
+    """The items of one grade, in corpus order."""
+    if grade not in VALID_GRADES:
         raise ValueError(f"unknown grade {grade!r}")
-
-    def keep(item: Item) -> bool:
-        if grade is not None and item.grade != grade:
-            return False
-        if content_area is not None and item.content_area != content_area:
-            return False
-        if difficulty is not None and item.difficulty_label != difficulty:
-            return False
-        return True
-
-    return Corpus(item for item in corpus if keep(item))
+    return Corpus(item for item in corpus if item.grade == grade)

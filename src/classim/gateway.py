@@ -3,8 +3,8 @@
 Two backends sit behind one interface: an HTTP client for any
 OpenAI-compatible endpoint, and an offline model that fabricates
 transcript-shaped replies as a pure function of ``(seed, request key)``.
-The surrounding :class:`Gateway` owns retries, bounded concurrency and
-optional request capture; backends only turn one request into text.
+The surrounding :class:`Gateway` owns retries and bounded concurrency;
+backends only turn one request into text.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ class CompletionRequest:
     prompt: RenderedPrompt
     key: RequestKey
     temperature: float
-    seed: int = 0
     skill: Optional[SkillLevel] = None
 
 
@@ -192,34 +191,11 @@ class Gateway:
         max_retries: int,
         max_in_flight: int,
         sleep: Callable[[float], None] = time.sleep,
-        capture_path: Optional[str] = None,
     ) -> None:
         self.backend = backend
         self.max_retries = max_retries
         self.max_in_flight = max_in_flight
         self._sleep = sleep
-        self._capture_path = capture_path
-        self._capture_lock = threading.Lock()
-
-    def _capture(self, request: CompletionRequest, record: CompletionRecord) -> None:
-        if self._capture_path is None:
-            return
-        line = json.dumps(
-            {
-                "item_id": request.key.item_id,
-                "student_index": request.key.student_index,
-                "replicate": request.key.replicate,
-                "system": request.prompt.system,
-                "user": request.prompt.user,
-                "text": record.text,
-                "ok": record.ok,
-                "attempts": record.attempts,
-            },
-            ensure_ascii=False,
-        )
-        with self._capture_lock:
-            with open(self._capture_path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
 
     def _run_one(self, request: CompletionRequest) -> CompletionRecord:
         attempts = 0
@@ -228,31 +204,25 @@ class Gateway:
             attempts += 1
             try:
                 text = self.backend.complete(request)
-                record = CompletionRecord(
+                return CompletionRecord(
                     key=request.key, text=text, ok=True, attempts=attempts
                 )
-                self._capture(request, record)
-                return record
             except TransientBackendError as exc:
                 last_error = str(exc)
                 if attempts <= self.max_retries:
                     wait = min(BACKOFF_CAP, BACKOFF_BASE * 2.0 ** (attempts - 1))
                     self._sleep(max(wait, exc.retry_after or 0.0))
             except Exception as exc:  # non-retryable: fail the key immediately
-                record = CompletionRecord(
+                return CompletionRecord(
                     key=request.key,
                     text="",
                     ok=False,
                     attempts=attempts,
                     error=str(exc),
                 )
-                self._capture(request, record)
-                return record
-        record = CompletionRecord(
+        return CompletionRecord(
             key=request.key, text="", ok=False, attempts=attempts, error=last_error
         )
-        self._capture(request, record)
-        return record
 
     def stream(self, requests: Iterable[CompletionRequest]) -> Iterator[CompletionRecord]:
         if self.max_in_flight == 1:
@@ -298,6 +268,20 @@ def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
+def _number(name: str, value: object, low: float = -math.inf, high: float = math.inf) -> float:
+    """``value`` as a float; a ValueError naming the option unless it is a
+    finite number in ``[low, high]``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not (math.isfinite(value) and low <= value <= high)
+    ):
+        raise ValueError(
+            f"{name} must be a finite number in [{low:g}, {high:g}], got {value!r}"
+        )
+    return float(value)
+
+
 def _sigmoid(x: float) -> float:
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))
@@ -339,21 +323,36 @@ class MockStudentModel:
         garble_rate: float = 0.0,
     ) -> None:
         if distractor_policy not in ("uniform", "real-marginal"):
-            raise ValueError(f"unknown distractor policy {distractor_policy!r}")
+            raise ValueError(f"unknown distractor_policy {distractor_policy!r}")
         if delta_source not in ("real", "independent"):
-            raise ValueError(f"unknown delta source {delta_source!r}")
-        if not 0.0 <= expert_accuracy <= 1.0:
-            raise ValueError("expert_accuracy must be in [0, 1]")
+            raise ValueError(f"unknown delta_source {delta_source!r}")
+        try:
+            betas = {
+                SkillLevel(skill): beta
+                for skill, beta in dict(skill_betas or DEFAULT_SKILL_BETAS).items()
+            }
+        except (TypeError, ValueError):
+            betas = {}
+        if set(betas) != set(SkillLevel):
+            raise ValueError(
+                "skill_betas must give one number per skill level "
+                f"{[skill.value for skill in SkillLevel]}, got {skill_betas!r}"
+            )
         self.corpus = corpus
         self.seed = seed
-        self.skill_betas = dict(skill_betas or DEFAULT_SKILL_BETAS)
+        self.skill_betas = {
+            skill: _number(f"skill_betas[{skill.value!r}]", beta)
+            for skill, beta in betas.items()
+        }
         self.mixture = mixture or SkillDistribution.default()
         self.distractor_policy = distractor_policy
-        self.expert_accuracy = expert_accuracy
-        self.noise_scale = noise_scale
-        self.dpce_constant = dpce_constant
+        self.expert_accuracy = _number("expert_accuracy", expert_accuracy, 0.0, 1.0)
+        self.noise_scale = _number("noise_scale", noise_scale, 0.0)
+        self.dpce_constant = (
+            None if dpce_constant is None else _number("dpce_constant", dpce_constant, 0.0, 1.0)
+        )
         self.delta_source = delta_source
-        self.garble_rate = garble_rate
+        self.garble_rate = _number("garble_rate", garble_rate, 0.0, 1.0)
 
     def item_delta(self, item: Item) -> float:
         if self.delta_source == "independent":

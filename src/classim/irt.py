@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from .responses import ResponseMatrix
 
 _STEP_CAP = 4.0  # largest logit move a single Newton step may take
 _P_FLOOR = 1e-12
+RIDGE = 1e-3  # L2 penalty on abilities and difficulties; fit.json's "lambda"
+TOL = 1e-8  # convergence: largest absolute penalized-gradient entry
+MAX_ITERATIONS = 500  # sweep budget
 
 
 def rasch_probability(beta, delta):
@@ -81,21 +84,6 @@ class SufficientStats:
             n=n,
             s=s,
         )
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    ridge: float = 1e-3
-    tol: float = 1e-8  # largest absolute penalized-gradient entry
-    max_iterations: int = 500
-
-    def __post_init__(self) -> None:
-        if self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 def penalized_log_likelihood(
@@ -180,57 +168,48 @@ def _initial_values(stats: SufficientStats) -> Tuple[np.ndarray, np.ndarray]:
     return beta, delta
 
 
-def fit_rasch(
-    stats_or_matrix, config: Optional[FitConfig] = None
-) -> FitResult:
+def fit_rasch(matrix: ResponseMatrix) -> FitResult:
     """Estimate group abilities and item difficulties jointly.
 
-    Accepts a :class:`ResponseMatrix` or precomputed
-    :class:`SufficientStats`. Iterates block Newton sweeps until the
-    largest penalized-gradient entry drops below ``config.tol`` or the
-    sweep budget runs out; ``converged`` reports which happened. The
-    returned log-likelihood is the data term only, so it is comparable
-    across runs regardless of ridge strength or centering.
+    Iterates block Newton sweeps until the largest penalized-gradient
+    entry drops below ``TOL`` or ``MAX_ITERATIONS`` sweeps have run;
+    ``converged`` reports which happened. The returned log-likelihood is
+    the data term only, so it is comparable across runs regardless of
+    ridge strength or centering.
     """
-    config = config or FitConfig()
-    if isinstance(stats_or_matrix, ResponseMatrix):
-        stats = SufficientStats.from_matrix(stats_or_matrix)
-    else:
-        stats = stats_or_matrix
+    stats = SufficientStats.from_matrix(matrix)
     if not stats.group_labels or not stats.item_ids:
         raise ValueError("cannot fit an empty response matrix")
 
     beta, delta = _initial_values(stats)
-    ridge = config.ridge
     converged = False
     iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         p = rasch_probability(beta[:, None], delta[None, :])
         w = stats.n * p * (1.0 - p)
-        grad_b = (stats.s - stats.n * p).sum(axis=1) - ridge * beta
-        step = grad_b / (w.sum(axis=1) + ridge)
+        grad_b = (stats.s - stats.n * p).sum(axis=1) - RIDGE * beta
+        step = grad_b / (w.sum(axis=1) + RIDGE)
         beta = beta + np.clip(step, -_STEP_CAP, _STEP_CAP)
 
         p = rasch_probability(beta[:, None], delta[None, :])
         w = stats.n * p * (1.0 - p)
-        grad_d = (stats.n * p - stats.s).sum(axis=0) - ridge * delta
-        step = grad_d / (w.sum(axis=0) + ridge)
+        grad_d = (stats.n * p - stats.s).sum(axis=0) - RIDGE * delta
+        step = grad_d / (w.sum(axis=0) + RIDGE)
         delta = delta + np.clip(step, -_STEP_CAP, _STEP_CAP)
 
         # Shifting both blocks together leaves every probability alone, so
         # the data term is flat along that direction and only the ridge
         # curves it; block updates crawl there, but the optimal shift has
         # a closed form. Applying it each sweep keeps convergence fast.
-        if ridge > 0:
-            shift = (beta.sum() + delta.sum()) / (len(beta) + len(delta))
-            beta = beta - shift
-            delta = delta - shift
+        shift = (beta.sum() + delta.sum()) / (len(beta) + len(delta))
+        beta = beta - shift
+        delta = delta - shift
 
-        grad_b, grad_d = gradients(beta, delta, stats, ridge)
+        grad_b, grad_d = gradients(beta, delta, stats, RIDGE)
         worst = max(
             float(np.max(np.abs(grad_b))), float(np.max(np.abs(grad_d)))
         )
-        if worst < config.tol:
+        if worst < TOL:
             converged = True
             break
 
@@ -243,7 +222,7 @@ def fit_rasch(
         log_likelihood=data_log_likelihood(beta, delta, stats),
         iterations=iterations,
         converged=converged,
-        ridge=ridge,
+        ridge=RIDGE,
     )
 
 

@@ -144,7 +144,6 @@ class DifficultySeparation:
     auc: float
     n_hard: int
     n_other: int
-    mode: str
 
 
 def difficulty_separation(
@@ -176,7 +175,6 @@ def difficulty_separation(
         auc=mann_whitney_auc(other, hard),
         n_hard=len(hard),
         n_other=len(other),
-        mode=mode,
     )
 
 

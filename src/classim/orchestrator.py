@@ -26,7 +26,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 from . import __version__
 from .classroom import (
     SkillDistribution,
-    SkillLevel,
     StudentProfile,
     sample_classroom,
     strategy_from_spec,
@@ -34,13 +33,14 @@ from .classroom import (
 from .corpus import Corpus, Item, filter_corpus, load_corpus
 from .gateway import (
     CompletionBackend,
+    CompletionRecord,
     CompletionRequest,
     Gateway,
     HttpChatBackend,
     MockStudentModel,
     RequestKey,
 )
-from .irt import FitConfig, FitResult, fit_rasch
+from .irt import FitResult, fit_rasch
 from .metrics import (
     CorrelationResult,
     difficulty_separation,
@@ -79,6 +79,7 @@ PREDICTIONS_NAME = "predictions.json"
 EVALUATION_JSON_NAME = "evaluation.json"
 EVALUATION_CSV_NAME = "evaluation.csv"
 REPORT_NAME = "report.md"
+CAPTURE_NAME = "capture.jsonl"
 
 # Request rows that do not belong to a simulated student (expert solves,
 # percentage estimates) carry this index so keys stay totally ordered.
@@ -90,8 +91,29 @@ _DPCE_VARIANTS = {
     "averaged": (0.3, 10),
 }
 
-# Fields that must hold an int; ``grade`` may also be None.
-_INT_FIELDS = ("grade", "n_students", "seed", "replicates", "max_retries", "max_in_flight")
+# The types each field accepts, as JSON spells them. bool is an int
+# subclass, so it passes only where it is listed.
+_FIELD_TYPES: Dict[str, Tuple[type, ...]] = {
+    "corpus_path": (str,),
+    "mode": (str,),
+    "grade": (int, type(None)),
+    "n_students": (int,),
+    "strategy": (str,),
+    "model": (str,),
+    "endpoint": (str,),
+    "temperature": (float, int),
+    "seed": (int,),
+    "mock": (bool,),
+    "replicates": (int,),
+    "dpce_variant": (str,),
+    "mask_failed": (bool,),
+    "skill_weights": (dict, type(None)),
+    "max_retries": (int,),
+    "max_in_flight": (int,),
+    "timeout": (float, int),
+    "capture": (bool,),
+    "mock_options": (dict,),
+}
 # mock_options keys: the mock's own tunables. Its corpus and seed come from
 # the run, its skill mixture from skill_weights.
 _MOCK_OPTIONS = frozenset(inspect.signature(MockStudentModel).parameters) - {
@@ -128,14 +150,17 @@ class ExperimentConfig:
     mock_options: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name, accepted in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not isinstance(value, accepted) or (
+                isinstance(value, bool) and bool not in accepted
+            ):
+                kinds = " or ".join(
+                    "null" if kind is type(None) else kind.__name__ for kind in accepted
+                )
+                raise ValueError(f"{name} must be {kinds}, got {value!r}")
         if self.mode not in ("simulate", "dpce", "baseline"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if name == "grade" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name, least in (
             ("n_students", 1),
             ("replicates", 1),
@@ -146,13 +171,17 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= {least}")
         if self.dpce_variant not in _DPCE_VARIANTS:
             raise ValueError(f"unknown dpce_variant {self.dpce_variant!r}")
-        if not isinstance(self.mock_options, dict):
-            raise ValueError("mock_options must be a JSON object")
         unknown = sorted(set(self.mock_options) - _MOCK_OPTIONS)
         if unknown:
             raise ValueError(
                 f"unknown mock_options key(s) {unknown}; known: {sorted(_MOCK_OPTIONS)}"
             )
+        # parsed here, not first in the run, so every mode rejects them early
+        strategy_from_spec(self.strategy)
+        try:
+            self.distribution()
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"skill_weights: {exc}") from None
 
     def distribution(self) -> SkillDistribution:
         if self.skill_weights is None:
@@ -284,15 +313,12 @@ def _build_rosters(
 def _make_backend(config: ExperimentConfig, corpus: Corpus) -> CompletionBackend:
     if not config.mock:
         return HttpChatBackend(config.endpoint, config.model, config.timeout)
-    options = dict(config.mock_options)
-    betas = options.pop("skill_betas", None)
-    if betas is not None:
-        options["skill_betas"] = {
-            SkillLevel(str(k)): float(v) for k, v in dict(betas).items()
-        }
-    if config.skill_weights is not None:
-        options["mixture"] = config.distribution()
-    return MockStudentModel(corpus=corpus, seed=config.seed, **options)
+    return MockStudentModel(
+        corpus=corpus,
+        seed=config.seed,
+        mixture=config.distribution(),
+        **config.mock_options,
+    )
 
 
 @dataclass
@@ -357,6 +383,22 @@ def _grade_percentage(item: Item, text: str) -> Tuple[Optional[str], int, ParseS
     return None, 0, ParseStatus.PARSED if stated else ParseStatus.FAILED
 
 
+def _capture_line(request: CompletionRequest, record: CompletionRecord) -> str:
+    return json.dumps(
+        {
+            "item_id": request.key.item_id,
+            "student_index": request.key.student_index,
+            "replicate": request.key.replicate,
+            "system": request.prompt.system,
+            "user": request.prompt.user,
+            "text": record.text,
+            "ok": record.ok,
+            "attempts": record.attempts,
+        },
+        ensure_ascii=False,
+    ) + "\n"
+
+
 def _collect(
     config: ExperimentConfig,
     out_dir: Optional[Union[str, Path]],
@@ -379,7 +421,9 @@ def _collect(
     arrive and appended once per item. A request that still fails after
     its retries stops the run with :class:`RequestFailed`; only the
     replies before it are logged, so a rerun asks for it again, and the
-    stream's queued requests are never sent. ``max_requests`` stops after
+    stream's queued requests are never sent. With ``config.capture`` every
+    record this call receives, the failed one included, is appended to
+    ``capture.jsonl`` in the same plan order. ``max_requests`` stops after
     that many new completions (used to exercise resumption).
     """
     corpus = _load_run_corpus(config)
@@ -401,14 +445,8 @@ def _collect(
         config, templates, len(corpus), n_students, n_requests, names_repeat
     )
     out_path, log, responses, done = _prepare_out_dir(config, out_dir, manifest)
-    capture_path = None
-    if config.capture and out_path is not None:
-        capture_path = str(out_path / "capture.jsonl")
     gateway = Gateway(
-        backend,
-        max_retries=config.max_retries,
-        max_in_flight=config.max_in_flight,
-        capture_path=capture_path,
+        backend, max_retries=config.max_retries, max_in_flight=config.max_in_flight
     )
 
     def plan() -> Iterator[CompletionRequest]:
@@ -427,7 +465,6 @@ def _collect(
                         prompt=render(item, seat, templates),
                         key=key,
                         temperature=temperature,
-                        seed=config.seed,
                         skill=None if seat is None else seat.skill,
                     )
 
@@ -436,6 +473,9 @@ def _collect(
             log.append_batch(graded)
         responses.extend(graded)
 
+    capture = None
+    if config.capture and out_path is not None:
+        capture = open(out_path / CAPTURE_NAME, "a", encoding="utf-8")
     # The stream and the grading loop each walk the same plan; tee holds
     # the requests in between, at most the stream's window.
     sent, queued = itertools.tee(plan())
@@ -443,6 +483,8 @@ def _collect(
     graded: List[SimulatedResponse] = []
     try:
         for request, record in zip(sent, records):
+            if capture is not None:
+                capture.write(_capture_line(request, record))
             if graded and graded[-1].item_id != request.key.item_id:
                 append(graded)
                 graded = []
@@ -469,6 +511,8 @@ def _collect(
             )
     finally:
         records.close()
+        if capture is not None:
+            capture.close()
     if graded:
         append(graded)
 
@@ -513,7 +557,7 @@ def run_simulate(
 
     item_ids = [item.item_id for item in corpus]
     matrix = build_matrix(outcome.responses, item_ids, mask_failed=config.mask_failed)
-    fit = fit_rasch(matrix, FitConfig())
+    fit = fit_rasch(matrix)
     rates = matrix.item_success_rates()
     predictions: Dict[str, Optional[float]] = {}
     for j, item_id in enumerate(matrix.item_ids):
@@ -715,7 +759,6 @@ def _subgroup_real_rates(corpus: Corpus) -> Dict[str, Dict[str, float]]:
 def evaluate_run(
     run_dir: Union[str, Path],
     corpus_path: Optional[str] = None,
-    write: bool = True,
 ) -> Dict[str, object]:
     """Score a finished run directory against its corpus.
 
@@ -782,9 +825,8 @@ def evaluate_run(
                 "log_likelihood": fit.log_likelihood,
             }
 
-    if write:
-        _write_json(run_path / EVALUATION_JSON_NAME, evaluation)
-        _write_evaluation_csv(run_path / EVALUATION_CSV_NAME, predictions, corpus)
+    _write_json(run_path / EVALUATION_JSON_NAME, evaluation)
+    _write_evaluation_csv(run_path / EVALUATION_CSV_NAME, predictions, corpus)
     return evaluation
 
 

@@ -1,10 +1,11 @@
 """Prompt construction for the three interrogation modes.
 
-Templates live as plain text files so that a deployment can swap wording
-without touching code; rendering is pure string substitution and therefore
-byte-reproducible. Placeholders come in two spellings: ``{...}`` slots that
-are filled from the item or the student profile, and bracketed identity
-slots (``[NAME]``, ``[STDID]``) filled from the roster.
+Templates ship as plain text files inside the package, and each run's
+manifest records their hashes; rendering is pure string substitution and
+therefore byte-reproducible. Placeholders come in two spellings:
+``{...}`` slots that are filled from the item or the student profile,
+and bracketed identity slots (``[NAME]``, ``[STDID]``) filled from the
+roster.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .classroom import SkillLevel, StudentProfile
 from .corpus import Item
@@ -86,37 +86,22 @@ class RenderedPrompt:
         )
 
 
-def _read_template_dir(directory: Path) -> Dict[str, str]:
-    texts: Dict[str, str] = {}
-    for filename in _TEMPLATE_FILES:
-        path = directory / filename
-        if not path.is_file():
-            raise PromptError(f"missing prompt template {filename!r} in {directory}")
-        texts[filename] = path.read_text(encoding="utf-8")
-    return texts
-
-
-def _read_packaged_templates() -> Dict[str, str]:
-    root = resources.files(__package__) / "prompts"
-    texts: Dict[str, str] = {}
-    for filename in _TEMPLATE_FILES:
-        texts[filename] = (root / filename).read_text(encoding="utf-8")
-    return texts
-
-
 @dataclass(frozen=True)
 class PromptTemplates:
     """The full template set, loaded once and treated as immutable."""
 
     texts: Mapping[str, str] = field(repr=False)
-    source: str = "packaged"
 
     @classmethod
-    def load(cls, directory: Optional[Path] = None) -> "PromptTemplates":
-        if directory is None:
-            return cls(texts=_read_packaged_templates(), source="packaged")
-        directory = Path(directory)
-        return cls(texts=_read_template_dir(directory), source=str(directory))
+    def load(cls) -> "PromptTemplates":
+        """The packaged template set."""
+        root = resources.files(__package__) / "prompts"
+        return cls(
+            texts={
+                filename: (root / filename).read_text(encoding="utf-8")
+                for filename in _TEMPLATE_FILES
+            }
+        )
 
     def text(self, filename: str) -> str:
         try:

@@ -165,8 +165,29 @@ class TestRunOptions:
             (["dpce"], {"n_students": [4, 5]}, "n_students"),
             (["simulate"], {"n_students": "5"}, "n_students"),
             (["simulate"], {"mock_options": {"garble": 0.1}}, "garble"),
+            (["simulate", "--endpoint", "http://localhost:9/v1"], {"mock": "false"}, "mock"),
+            (["simulate"], {"strategy": 5}, "strategy"),
+            (["simulate"], {"skill_weights": {"Basic": [1]}}, "skill_weights"),
+            (["dpce"], {"strategy": "bogus"}, "strategy"),
+            (["simulate"], {"temperature": "hot"}, "temperature"),
+            (["simulate"], {"mock_options": {"garble_rate": "x"}}, "garble_rate"),
+            (["dpce"], {"mock_options": {"noise_scale": -1}}, "noise_scale"),
+            (["baseline"], {"mock_options": {"expert_accuracy": "high"}}, "expert_accuracy"),
+            (["dpce"], {"mock_options": {"dpce_constant": 1.5}}, "dpce_constant"),
+            (
+                ["simulate"],
+                {"mock_options": {"skill_betas": {
+                    "BelowBasic": -1, "Basic": "x", "Proficient": 0.6, "Advanced": 1.3,
+                }}},
+                "skill_betas",
+            ),
         ],
-        ids=["max-in-flight", "max-retries", "dpce-list", "string", "mock-option"],
+        ids=[
+            "max-in-flight", "max-retries", "dpce-list", "string", "mock-option",
+            "mock-string", "strategy-type", "skill-weights", "dpce-strategy",
+            "temperature", "garble-rate", "noise-scale", "expert-accuracy",
+            "dpce-constant", "skill-betas",
+        ],
     )
     def test_bad_value_fails_before_the_run_directory(
         self, argv, settings, named, corpus_path, tmp_path, capsys

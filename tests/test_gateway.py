@@ -52,7 +52,7 @@ def key(i=0):
 
 
 def request(i=0):
-    # retry logic treats the prompt as opaque; capture reads its two parts
+    # retry logic treats the prompt as opaque
     class Prompt:
         system = "be terse"
         user = f"q{i}"
@@ -138,18 +138,6 @@ def test_stream_takes_at_most_its_window_ahead():
         assert record.key == key(consumed)
         assert len(taken) <= window + consumed
     assert len(taken) == 5 * window
-
-
-def test_capture_writes_request_and_reply(tmp_path):
-    capture = tmp_path / "capture.jsonl"
-    gateway = make_gateway(
-        FlakyBackend(failures=0), max_retries=0, capture_path=str(capture)
-    )
-    gateway.run([request(0), request(1)])
-    lines = [json.loads(line) for line in capture.read_text().splitlines()]
-    assert len(lines) == 2
-    assert {line["student_index"] for line in lines} == {0, 1}
-    assert all(line["ok"] for line in lines)
 
 
 class _Script(BaseHTTPRequestHandler):
@@ -460,4 +448,22 @@ def test_mock_validates_options(mock_world):
         MockStudentModel(corpus, seed=1, delta_source="psychic")
     with pytest.raises(ValueError):
         MockStudentModel(corpus, seed=1, expert_accuracy=1.5)
+    betas = {level.value: 0 for level in SkillLevel}  # as a config file spells them
+    model = MockStudentModel(corpus, seed=1, skill_betas=betas)
+    assert model.skill_betas == {level: 0.0 for level in SkillLevel}
+    for name, value in [
+        ("garble_rate", "x"),
+        ("garble_rate", 1.5),
+        ("noise_scale", -1),
+        ("noise_scale", math.nan),
+        ("expert_accuracy", "high"),
+        ("dpce_constant", 1.5),
+        ("dpce_constant", True),
+        ("skill_betas", {"Basic": 0.0}),
+        ("skill_betas", {**betas, "Basic": "x"}),
+        ("skill_betas", {**betas, "Genius": 2.0}),
+        ("skill_betas", [1, 2]),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            MockStudentModel(corpus, seed=1, **{name: value})
 

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from classim import irt
 from classim.irt import (
-    FitConfig,
+    RIDGE,
+    TOL,
     FitResult,
     SufficientStats,
     data_log_likelihood,
@@ -95,10 +97,13 @@ class TestSufficientStats:
         assert stats.group_labels == ("Proficient", "alpha", "zeta")
 
 
-def small_stats(seed=5):
+def small_matrix(seed=5):
     deltas = centered_deltas(8, seed=seed)
-    matrix = sample_rasch_matrix(BETAS, deltas, COUNTS, seed=seed)
-    return SufficientStats.from_matrix(matrix)
+    return sample_rasch_matrix(BETAS, deltas, COUNTS, seed=seed)
+
+
+def small_stats(seed=5):
+    return SufficientStats.from_matrix(small_matrix(seed))
 
 
 class TestGradients:
@@ -144,34 +149,35 @@ class TestFit:
         assert ordered == sorted(ordered)
 
     def test_gradient_is_small_at_solution(self):
-        stats = small_stats(seed=13)
-        config = FitConfig()
-        result = fit_rasch(stats, config)
+        matrix = small_matrix(seed=13)
+        stats = SufficientStats.from_matrix(matrix)
+        result = fit_rasch(matrix)
         assert result.converged
         # centering moves the iterate off the penalized optimum by a
         # translation, which the data term ignores; verify stationarity on
         # the recentered fit directly against the ridge-tilted gradient
         beta = np.array([result.beta[g] for g in stats.group_labels])
         delta = np.array([result.delta[i] for i in stats.item_ids])
-        grad_b, grad_d = gradients(beta, delta, stats, config.ridge)
-        slack = config.ridge * (abs(beta).max() + abs(delta).max()) + config.tol
+        grad_b, grad_d = gradients(beta, delta, stats, RIDGE)
+        slack = RIDGE * (abs(beta).max() + abs(delta).max()) + TOL
         assert float(np.abs(grad_b).max()) < slack
         assert float(np.abs(grad_d).max()) < slack
 
     def test_deterministic(self):
-        stats = small_stats(seed=21)
-        first = fit_rasch(stats)
-        second = fit_rasch(stats)
+        matrix = small_matrix(seed=21)
+        first = fit_rasch(matrix)
+        second = fit_rasch(matrix)
         assert first == second
 
     def test_mean_zero_difficulties(self):
-        result = fit_rasch(small_stats(seed=4))
+        result = fit_rasch(small_matrix(seed=4))
         assert result.constraint == "mean_zero_delta"
         assert float(result.delta_vector().mean()) == pytest.approx(0.0, abs=1e-12)
 
     def test_log_likelihood_is_data_term(self):
-        stats = small_stats(seed=8)
-        result = fit_rasch(stats)
+        matrix = small_matrix(seed=8)
+        stats = SufficientStats.from_matrix(matrix)
+        result = fit_rasch(matrix)
         beta = np.array([result.beta[g] for g in stats.group_labels])
         delta = np.array([result.delta[i] for i in stats.item_ids])
         assert result.log_likelihood == pytest.approx(
@@ -186,53 +192,45 @@ class TestFit:
         assert result.log_likelihood >= truth_ll - 1e-6 * abs(truth_ll) - 5.0
 
     def test_perfect_item_stays_finite(self):
-        n = np.array([[20.0], [20.0]])
-        s = np.array([[20.0], [20.0]])  # everyone right: ridge must cap it
-        stats = SufficientStats(("Basic", "Advanced"), ("q0",), n, s)
-        result = fit_rasch(stats)
+        matrix = ResponseMatrix(
+            item_ids=("q0",),
+            student_indices=tuple(range(40)),
+            skills=("Basic",) * 20 + ("Advanced",) * 20,
+            data=np.ones((40, 1), dtype=np.int8),  # everyone right: ridge must cap it
+            mask=np.ones((40, 1), dtype=bool),
+        )
+        result = fit_rasch(matrix)
         assert math.isfinite(result.delta["q0"])
         assert all(math.isfinite(v) for v in result.beta.values())
 
-    def test_sweep_budget_reported(self):
-        stats = small_stats(seed=30)
-        result = fit_rasch(stats, FitConfig(max_iterations=2))
+    def test_sweep_budget_reported(self, monkeypatch):
+        monkeypatch.setattr(irt, "MAX_ITERATIONS", 2)
+        result = fit_rasch(small_matrix(seed=30))
         assert result.iterations == 2
         assert not result.converged
 
     def test_empty_matrix_rejected(self):
-        empty = SufficientStats((), (), np.zeros((0, 0)), np.zeros((0, 0)))
+        empty = ResponseMatrix(
+            (), (), (), np.zeros((0, 0), dtype=np.int8), np.zeros((0, 0), dtype=bool)
+        )
         with pytest.raises(ValueError):
             fit_rasch(empty)
 
 
 class TestFitResultIO:
     def test_round_trip(self, tmp_path):
-        result = fit_rasch(small_stats(seed=17))
+        result = fit_rasch(small_matrix(seed=17))
         path = str(tmp_path / "fit.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(result.to_json_dict(), handle)
         assert FitResult.load(path) == result
 
     def test_json_field_names(self, tmp_path):
-        result = fit_rasch(small_stats(seed=17))
+        result = fit_rasch(small_matrix(seed=17))
         payload = result.to_json_dict()
         assert payload["lambda"] == result.ridge
         assert payload["constraint"] == "mean_zero_delta"
         assert set(payload["beta"]) == set(BETAS)
-
-
-class TestConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"ridge": -0.1},
-            {"tol": 0.0},
-            {"max_iterations": 0},
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            FitConfig(**kwargs)
 
 
 class TestSampling:

@@ -217,7 +217,6 @@ class TestDifficultySeparation:
 
     def test_hard_vs_easy_ignores_medium(self):
         result = difficulty_separation(self.PREDICTIONS, self.LABELS)
-        assert result.mode == "hard_vs_easy"
         assert (result.n_hard, result.n_other) == (2, 2)
         assert result.auc == pytest.approx(
             brute_auc([0.9, 0.8], [0.3, 0.7]), abs=1e-12

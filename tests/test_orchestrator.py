@@ -1,7 +1,7 @@
 import json
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +10,7 @@ from classim.cli import _base_mapping, build_parser
 from classim.corpus import load_corpus
 from classim.gateway import MockStudentModel, TransientBackendError
 from classim.orchestrator import (
+    CAPTURE_NAME,
     EVALUATION_CSV_NAME,
     EVALUATION_JSON_NAME,
     FIT_NAME,
@@ -28,6 +29,7 @@ from classim.orchestrator import (
     run_dpce,
     run_ensemble,
     run_simulate,
+    _FIELD_TYPES,
 )
 from classim.promptgen import PromptTemplates
 from classim.rng import derive_seed, mix64
@@ -96,12 +98,23 @@ class TestConfig:
             {"mock_options": {"garble": 0.1}},
             {"mock_options": {"mixture": {}}},
             {"mock_options": [["garble_rate", 0.1]]},
+            {"mock": "false"},
+            {"strategy": 5},
+            {"strategy": "bogus"},
+            {"skill_weights": {"Basic": [1]}},
+            {"skill_weights": {"Basic": 1.0}},
+            {"temperature": "hot"},
+            {"timeout": None},
+            {"capture": 1},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         [name] = kwargs
         with pytest.raises(ValueError, match=name):
             ExperimentConfig(corpus_path="c.json", **kwargs)
+
+    def test_every_field_is_type_checked(self):
+        assert list(_FIELD_TYPES) == [spec.name for spec in fields(ExperimentConfig)]
 
     def test_from_file_with_overrides(self, tmp_path):
         path = tmp_path / "config.json"
@@ -465,6 +478,47 @@ class TestStream:
         assert run_simulate(config, out_dir=pooled, backend=DelayedMock(world)).completed
         assert log.read_bytes() == full
 
+    def test_capture_is_in_plan_order_and_resume_appends(self, world, tmp_path):
+        config = replace(world["config"], capture=True)
+        pooled = replace(config, max_in_flight=8)
+        serial, parallel, failing = (tmp_path / name for name in ("s", "p", "f"))
+        run_simulate(config, out_dir=serial, backend=DelayedMock(world))
+        run_simulate(pooled, out_dir=parallel, backend=DelayedMock(world))
+        reference = (serial / CAPTURE_NAME).read_bytes()
+        assert (parallel / CAPTURE_NAME).read_bytes() == reference
+        lines = reference.splitlines(keepends=True)
+        captured = [json.loads(line) for line in lines]
+        logged = [
+            json.loads(line)
+            for line in (serial / RESPONSES_NAME).read_text(encoding="utf-8").splitlines()
+        ]
+        assert [
+            (c["item_id"], c["student_index"], c["replicate"], c["text"]) for c in captured
+        ] == [(r["item_id"], r["student_index"], r["replicate"], r["raw"]) for r in logged]
+        assert list(captured[0]) == [
+            "item_id", "student_index", "replicate", "system", "user", "text", "ok", "attempts"
+        ]
+
+        delayed = DelayedMock(world)
+
+        class FailingOnKey:
+            def complete(self, request):
+                if request.key.as_tuple() == ("g8-0002", 5, 0):
+                    raise RuntimeError("backend unavailable")
+                return delayed.complete(request)
+
+        with pytest.raises(RequestFailed):
+            run_simulate(pooled, out_dir=failing, backend=FailingOnKey())
+        stopped = (failing / CAPTURE_NAME).read_bytes().splitlines(keepends=True)
+        sent = 2 * N_STUDENTS + 5
+        assert stopped[:sent] == lines[:sent]
+        assert len(stopped) == sent + 1
+        last = json.loads(stopped[-1])
+        assert (last["item_id"], last["student_index"], last["ok"]) == ("g8-0002", 5, False)
+        # the rerun sends, and so appends, only what the log lacks
+        run_simulate(pooled, out_dir=failing, backend=DelayedMock(world))
+        assert (failing / CAPTURE_NAME).read_bytes() == b"".join(stopped + lines[sent:])
+
     def test_one_pool_serves_the_run(self, world):
         backend = DelayedMock(world)
         outcome = run_simulate(replace(world["config"], max_in_flight=8), backend=backend)
@@ -516,9 +570,7 @@ class TestEvaluate:
         float(first[3]), float(first[4])  # both populated for a finished run
 
     def test_corpus_override(self, world):
-        evaluation = evaluate_run(
-            world["run_dir"], corpus_path=world["corpus_path"], write=False
-        )
+        evaluation = evaluate_run(world["run_dir"], corpus_path=world["corpus_path"])
         assert evaluation["metrics"]["n_items"] == N_ITEMS
 
     def test_needs_three_predictions(self, world):

@@ -155,30 +155,18 @@ def test_messages_shape(item, templates):
     assert messages[1]["content"] == prompt.user
 
 
-def test_missing_template_file_rejected(tmp_path):
-    with pytest.raises(PromptError):
-        PromptTemplates.load(tmp_path)
+def test_missing_template_file_rejected(item, templates):
+    texts = dict(templates.texts)
+    del texts["system_knowledge.txt"]
+    with pytest.raises(PromptError, match="system_knowledge.txt"):
+        render_knowledge_prompt(item, PromptTemplates(texts=texts))
 
 
-def test_template_dir_override(tmp_path, item):
-    packaged = PromptTemplates.load()
-    for name, _ in packaged.fixture_hashes().items():
-        (tmp_path / name).write_text(packaged.text(name), encoding="utf-8")
-    override = PromptTemplates.load(tmp_path)
-    assert override.fixture_hashes() == packaged.fixture_hashes()
-    assert override.source == str(tmp_path)
-
-
-def test_unfilled_slot_detected(tmp_path, item):
-    packaged = PromptTemplates.load()
-    for name in packaged.fixture_hashes():
-        (tmp_path / name).write_text(packaged.text(name), encoding="utf-8")
+def test_unfilled_slot_detected(item, templates):
     # a template demanding an identity the anonymous roster cannot supply
-    broken = (tmp_path / "system_student.txt").read_text(encoding="utf-8")
-    (tmp_path / "system_student.txt").write_text(
-        broken + "\nSigned, [NAME]", encoding="utf-8"
-    )
-    override = PromptTemplates.load(tmp_path)
+    texts = dict(templates.texts)
+    texts["system_student.txt"] += "\nSigned, [NAME]"
+    override = PromptTemplates(texts=texts)
     profile = roster_one(NoIdentifier())
     with pytest.raises(PromptError):
         render_student_prompt(item, profile, override)
