@@ -34,12 +34,7 @@ class SkillLevel(str, Enum):
         }[self]
 
 
-SKILL_ORDER: tuple[SkillLevel, ...] = (
-    SkillLevel.BELOW_BASIC,
-    SkillLevel.BASIC,
-    SkillLevel.PROFICIENT,
-    SkillLevel.ADVANCED,
-)
+SKILL_ORDER: tuple[SkillLevel, ...] = tuple(SkillLevel)
 
 GENDERS = ("female", "male")
 RACES = ("Asian", "Black", "Hispanic", "White")

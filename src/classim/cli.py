@@ -110,15 +110,14 @@ def _print_outcome(outcome) -> None:
         print(f"artifacts in {outcome.out_dir}")
 
 
-_RUNS = {"simulate": run_simulate, "dpce": run_dpce, "baseline": run_baseline}
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     base = _base_mapping(args)
     if args.mode == "simulate":
         runs = expand_sweep(base)
     else:
         runs = [("", ExperimentConfig.from_mapping(base))]
+    # looked up per call, so drivers rebound after import (bench/spans.py) are run
+    run = {"simulate": run_simulate, "dpce": run_dpce, "baseline": run_baseline}[args.mode]
     multi = len(runs) > 1
     if multi and not args.out:
         raise ValueError("a sweep needs --out to place its run directories")
@@ -126,7 +125,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         out_dir: Optional[Path] = None
         if args.out:
             out_dir = Path(args.out) / name if multi else Path(args.out)
-        outcome = _RUNS[args.mode](config, out_dir=out_dir)
+        outcome = run(config, out_dir=out_dir)
         if multi:
             print(f"--- {name} ---")
         _print_outcome(outcome)

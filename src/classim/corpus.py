@@ -62,7 +62,7 @@ _CONTENT_ALIASES = {
 }
 
 
-class CorpusError(Exception):
+class CorpusError(ValueError):
     """Base class for corpus problems."""
 
 

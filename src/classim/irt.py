@@ -126,9 +126,6 @@ class FitResult:
     ridge: float
     constraint: str = "mean_zero_delta"
 
-    def delta_vector(self) -> np.ndarray:
-        return np.array(list(self.delta.values()), dtype=float)
-
     def to_json_dict(self) -> Dict[str, object]:
         return {
             "beta": {k: float(v) for k, v in self.beta.items()},

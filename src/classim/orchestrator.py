@@ -14,14 +14,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import inspect
-import io
 import itertools
 import json
 import math
-from collections.abc import Iterator
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Iterable, Iterator
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import get_args, get_origin, get_type_hints
 
 from . import __version__
 from .classroom import (
@@ -91,29 +91,6 @@ _DPCE_VARIANTS = {
     "averaged": (0.3, 10),
 }
 
-# The types each field accepts, as JSON spells them. bool is an int
-# subclass, so it passes only where it is listed.
-_FIELD_TYPES: Dict[str, Tuple[type, ...]] = {
-    "corpus_path": (str,),
-    "mode": (str,),
-    "grade": (int, type(None)),
-    "n_students": (int,),
-    "strategy": (str,),
-    "model": (str,),
-    "endpoint": (str,),
-    "temperature": (float, int),
-    "seed": (int,),
-    "mock": (bool,),
-    "replicates": (int,),
-    "dpce_variant": (str,),
-    "mask_failed": (bool,),
-    "skill_weights": (dict, type(None)),
-    "max_retries": (int,),
-    "max_in_flight": (int,),
-    "timeout": (float, int),
-    "capture": (bool,),
-    "mock_options": (dict,),
-}
 # mock_options keys: the mock's own tunables. Its corpus and seed come from
 # the run, its skill mixture from skill_weights.
 _MOCK_OPTIONS = frozenset(inspect.signature(MockStudentModel).parameters) - {
@@ -166,9 +143,12 @@ class ExperimentConfig:
             ("replicates", 1),
             ("max_retries", 0),
             ("max_in_flight", 1),
+            ("temperature", 0),
         ):
-            if getattr(self, name) < least:
+            if not getattr(self, name) >= least:
                 raise ValueError(f"{name} must be >= {least}")
+        if not self.timeout > 0:
+            raise ValueError("timeout must be > 0")
         if self.dpce_variant not in _DPCE_VARIANTS:
             raise ValueError(f"unknown dpce_variant {self.dpce_variant!r}")
         unknown = sorted(set(self.mock_options) - _MOCK_OPTIONS)
@@ -189,10 +169,7 @@ class ExperimentConfig:
         return SkillDistribution.from_mapping(self.skill_weights)
 
     def to_mapping(self) -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        for spec in fields(self):
-            out[spec.name] = getattr(self, spec.name)
-        return out
+        return asdict(self)
 
     @classmethod
     def from_mapping(cls, raw: Mapping[str, object]) -> "ExperimentConfig":
@@ -201,6 +178,22 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**raw)  # type: ignore[arg-type]
+
+
+def _accepted_types(hint: object) -> Tuple[type, ...]:
+    """The types a field annotated ``hint`` accepts, as JSON spells them:
+    ``Optional`` adds null, a float also takes an int, a ``Dict`` is a dict."""
+    if get_origin(hint) is Union:
+        return tuple(kind for arg in get_args(hint) for kind in _accepted_types(arg))
+    if hint is float:
+        return (float, int)
+    return (get_origin(hint) or hint,)  # type: ignore[return-value]
+
+
+# bool is an int subclass, so it passes only where it is listed.
+_FIELD_TYPES: Dict[str, Tuple[type, ...]] = {
+    name: _accepted_types(hint) for name, hint in get_type_hints(ExperimentConfig).items()
+}
 
 
 def expand_sweep(
@@ -215,24 +208,22 @@ def expand_sweep(
     """
     sizes = base.get("n_students", 300)
     strategies = base.get("strategy", "none")
+    swept = isinstance(sizes, (list, tuple)) or isinstance(strategies, (list, tuple))
     size_list = list(sizes) if isinstance(sizes, (list, tuple)) else [sizes]
     strategy_list = (
         list(strategies) if isinstance(strategies, (list, tuple)) else [strategies]
     )
-    swept = isinstance(sizes, (list, tuple)) or isinstance(strategies, (list, tuple))
+    for name, values in (("n_students", size_list), ("strategy", strategy_list)):
+        if not values:
+            raise ValueError(f"{name} must list at least one value")
     runs: List[Tuple[str, ExperimentConfig]] = []
-    index = 0
-    for n in size_list:
-        for strategy in strategy_list:
-            raw = dict(base)
-            raw["n_students"] = n
-            raw["strategy"] = strategy
-            if swept:
-                raw["seed"] = int(base.get("seed", 0)) ^ mix64(index)
-            config = ExperimentConfig.from_mapping(raw)
-            name = f"n{n}-{str(strategy).replace(':', '-')}" if swept else ""
-            runs.append((name, config))
-            index += 1
+    for index, (n, strategy) in enumerate(itertools.product(size_list, strategy_list)):
+        # built with the base seed first, so every field is checked as in a single run
+        config = ExperimentConfig.from_mapping({**base, "n_students": n, "strategy": strategy})
+        if not swept:
+            return [("", config)]
+        name = f"n{config.n_students}-{config.strategy.replace(':', '-')}"
+        runs.append((name, replace(config, seed=config.seed ^ mix64(index))))
     return runs
 
 
@@ -323,7 +314,6 @@ def _make_backend(config: ExperimentConfig, corpus: Corpus) -> CompletionBackend
 
 @dataclass
 class RunOutcome:
-    config: ExperimentConfig
     manifest: Dict[str, object]
     out_dir: Optional[Path]
     responses: List[SimulatedResponse]
@@ -517,7 +507,6 @@ def _collect(
         append(graded)
 
     outcome = RunOutcome(
-        config=config,
         manifest=manifest,
         out_dir=out_path,
         responses=responses,
@@ -525,6 +514,21 @@ def _collect(
         parse_counts=_count_statuses(responses),
     )
     return outcome, corpus
+
+
+def _write_predictions(outcome: RunOutcome, fields: Mapping[str, object]) -> None:
+    """Write ``predictions.json``: the mode's own ``fields`` between the
+    run's identity and its parse counts."""
+    if outcome.out_dir is not None:
+        _write_json(
+            outcome.out_dir / PREDICTIONS_NAME,
+            {
+                "manifest_hash": outcome.manifest["manifest_hash"],
+                "mode": outcome.manifest["mode"],
+                **fields,
+                "parse_counts": outcome.parse_counts,
+            },
+        )
 
 
 def run_simulate(
@@ -539,8 +543,7 @@ def run_simulate(
     exercise resumption); the outcome then reports ``completed=False``
     and carries no fit.
     """
-    if config.mode != "simulate":
-        config = replace(config, mode="simulate")
+    config = replace(config, mode="simulate")
     outcome, corpus = _collect(
         config,
         out_dir,
@@ -570,15 +573,7 @@ def run_simulate(
         fit_payload = fit.to_json_dict()
         fit_payload["manifest_hash"] = outcome.manifest["manifest_hash"]
         _write_json(outcome.out_dir / FIT_NAME, fit_payload)
-        _write_json(
-            outcome.out_dir / PREDICTIONS_NAME,
-            {
-                "manifest_hash": outcome.manifest["manifest_hash"],
-                "mode": "simulate",
-                "predictions": predictions,
-                "parse_counts": outcome.parse_counts,
-            },
-        )
+    _write_predictions(outcome, {"predictions": predictions})
     return outcome
 
 
@@ -595,8 +590,7 @@ def run_dpce(
     reply never states a percentage are dropped from the average, and an
     item with no parseable replicate gets a null estimate.
     """
-    if config.mode != "dpce":
-        config = replace(config, mode="dpce")
+    config = replace(config, mode="dpce")
     temperature, replicates = _DPCE_VARIANTS[config.dpce_variant]
     outcome, corpus = _collect(
         config,
@@ -616,17 +610,9 @@ def run_dpce(
         for response in outcome.responses
     ]
     outcome.predictions = direct_estimates(parsed, item_ids)
-    if outcome.out_dir is not None:
-        _write_json(
-            outcome.out_dir / PREDICTIONS_NAME,
-            {
-                "manifest_hash": outcome.manifest["manifest_hash"],
-                "mode": "dpce",
-                "variant": config.dpce_variant,
-                "predictions": outcome.predictions,
-                "parse_counts": outcome.parse_counts,
-            },
-        )
+    _write_predictions(
+        outcome, {"variant": config.dpce_variant, "predictions": outcome.predictions}
+    )
     return outcome
 
 
@@ -641,8 +627,7 @@ def run_baseline(
     low overall accuracy here caps what any persona conditioning can be
     expected to deliver downstream.
     """
-    if config.mode != "baseline":
-        config = replace(config, mode="baseline")
+    config = replace(config, mode="baseline")
     outcome, corpus = _collect(
         config,
         out_dir,
@@ -658,27 +643,12 @@ def run_baseline(
     per_item = {r.item_id: float(r.correct) for r in outcome.responses}
     outcome.predictions = {item.item_id: per_item[item.item_id] for item in corpus}
     accuracy = sum(per_item.values()) / len(per_item) if per_item else float("nan")
-    if outcome.out_dir is not None:
-        _write_json(
-            outcome.out_dir / PREDICTIONS_NAME,
-            {
-                "manifest_hash": outcome.manifest["manifest_hash"],
-                "mode": "baseline",
-                "predictions": outcome.predictions,
-                "accuracy": accuracy,
-                "parse_counts": outcome.parse_counts,
-            },
-        )
+    _write_predictions(outcome, {"predictions": outcome.predictions, "accuracy": accuracy})
     return outcome
 
 
 def _correlation_payload(result: CorrelationResult, method: str) -> Dict[str, object]:
-    return {
-        "r": result.r,
-        "p_value": result.p_value,
-        "n": result.n,
-        "p_method": method,
-    }
+    return {**asdict(result), "p_method": method}
 
 
 def evaluate_predictions(
@@ -705,26 +675,17 @@ def evaluate_predictions(
         raise ValueError("need at least 3 predicted items to evaluate")
     labels = {item.item_id: item.difficulty_label for item in corpus}
     pred_map = {item_id: value for item_id, value in zip(used, sim)}
-    use_permutation = len(sim) < PERMUTATION_BELOW
+    method = "permutation" if len(sim) < PERMUTATION_BELOW else "t"
     result: Dict[str, object] = {
         "n_items": len(sim),
-        "pearson": _correlation_payload(
-            pearson(sim, real), "t" if not use_permutation else "permutation"
-        ),
-        "spearman": _correlation_payload(
-            spearman(sim, real), "t" if not use_permutation else "permutation"
-        ),
+        "pearson": _correlation_payload(pearson(sim, real), method),
+        "spearman": _correlation_payload(spearman(sim, real), method),
     }
-    if use_permutation:
+    if method == "permutation":
         result["pearson"]["p_value"] = permutation_pvalue(sim, real, seed)
         result["spearman"]["p_value"] = permutation_pvalue(sim, real, seed, rank=True)
     for mode in ("hard_vs_easy", "hard_vs_rest"):
-        separation = difficulty_separation(pred_map, labels, mode=mode)
-        result[f"auc_{mode}"] = {
-            "auc": separation.auc,
-            "n_hard": separation.n_hard,
-            "n_other": separation.n_other,
-        }
+        result[f"auc_{mode}"] = asdict(difficulty_separation(pred_map, labels, mode=mode))
     return result
 
 
@@ -797,15 +758,7 @@ def evaluate_run(
             mask_failed=config.mask_failed,
         )
         evaluation["skill_correctness"] = skill_correctness(matrix)
-        match = distractor_match(responses, corpus)
-        evaluation["distractor_match"] = {
-            "match_rate": match.match_rate,
-            "n_items": match.n_items,
-            "chance_wrong_only": match.chance_wrong_only,
-            "chance_all_choices": match.chance_all_choices,
-            "model_ties": match.model_ties,
-            "observed_ties": match.observed_ties,
-        }
+        evaluation["distractor_match"] = asdict(distractor_match(responses, corpus))
         rosters = _build_rosters(config, corpus)
         groups = _demographic_groups(rosters)
         real_rates = _subgroup_real_rates(corpus)
@@ -817,13 +770,9 @@ def evaluate_run(
             }
         fit_path = run_path / FIT_NAME
         if fit_path.exists():
-            fit = FitResult.load(str(fit_path))
-            evaluation["fit"] = {
-                "beta": fit.beta,
-                "converged": fit.converged,
-                "iterations": fit.iterations,
-                "log_likelihood": fit.log_likelihood,
-            }
+            fit = asdict(FitResult.load(str(fit_path)))
+            keep = ("beta", "converged", "iterations", "log_likelihood")
+            evaluation["fit"] = {name: fit[name] for name in keep}
 
     _write_json(run_path / EVALUATION_JSON_NAME, evaluation)
     _write_evaluation_csv(run_path / EVALUATION_CSV_NAME, predictions, corpus)
@@ -833,24 +782,22 @@ def evaluate_run(
 def _write_evaluation_csv(
     path: Path, predictions: Mapping[str, Optional[float]], corpus: Corpus
 ) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["item_id", "grade", "difficulty", "real_rate", "predicted_rate"]
-    )
-    for item in corpus:
-        value = predictions.get(item.item_id)
-        writer.writerow(
-            [
-                item.item_id,
-                item.grade,
-                item.difficulty_label,
-                f"{item.real_percent_correct:.6f}",
-                "" if value is None else f"{value:.6f}",
-            ]
-        )
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(buffer.getvalue())
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(
+            ["item_id", "grade", "difficulty", "real_rate", "predicted_rate"]
+        )
+        for item in corpus:
+            value = predictions.get(item.item_id)
+            writer.writerow(
+                [
+                    item.item_id,
+                    item.grade,
+                    item.difficulty_label,
+                    f"{item.real_percent_correct:.6f}",
+                    "" if value is None else f"{value:.6f}",
+                ]
+            )
 
 
 def run_ensemble(
@@ -912,6 +859,19 @@ def _format_float(value: object) -> str:
     return f"{number:.4f}"
 
 
+def _table(header: Sequence[str], rows: Iterable[Sequence[object]]) -> List[str]:
+    """A markdown table's lines."""
+    return [
+        "| " + " | ".join(header) + " |",
+        "| " + " | ".join("---" for _ in header) + " |",
+        *("| " + " | ".join(str(cell) for cell in row) + " |" for row in rows),
+    ]
+
+
+def _correlation_row(label: str, block: Mapping[str, object]) -> Tuple[object, ...]:
+    return (label, _format_float(block["r"]), _format_float(block["p_value"]), block["n"])
+
+
 def render_report(run_dir: Union[str, Path]) -> str:
     """Markdown summary of a run's evaluation, regenerated on demand."""
     run_path = Path(run_dir)
@@ -938,20 +898,13 @@ def render_report(run_dir: Union[str, Path]) -> str:
     metrics_block = evaluation["metrics"]
     lines.append("## Agreement with observed difficulty")
     lines.append("")
-    lines.append("| metric | value | p | n |")
-    lines.append("| --- | --- | --- | --- |")
-    for name in ("pearson", "spearman"):
-        block = metrics_block[name]
-        lines.append(
-            f"| {name} | {_format_float(block['r'])} | "
-            f"{_format_float(block['p_value'])} | {block['n']} |"
-        )
+    rows = [_correlation_row(name, metrics_block[name]) for name in ("pearson", "spearman")]
     for name in ("auc_hard_vs_easy", "auc_hard_vs_rest"):
         block = metrics_block[name]
-        lines.append(
-            f"| {name} | {_format_float(block['auc'])} | - | "
-            f"{block['n_hard']}+{block['n_other']} |"
+        rows.append(
+            (name, _format_float(block["auc"]), "-", f"{block['n_hard']}+{block['n_other']}")
         )
+    lines.extend(_table(("metric", "value", "p", "n"), rows))
     if "parse_counts" in evaluation:
         lines.append("")
         lines.append("## Parsing")
@@ -962,10 +915,10 @@ def render_report(run_dir: Union[str, Path]) -> str:
         lines.append("")
         lines.append("## Correctness by skill")
         lines.append("")
-        lines.append("| skill | rate |")
-        lines.append("| --- | --- |")
-        for label, rate in evaluation["skill_correctness"].items():
-            lines.append(f"| {label} | {_format_float(rate)} |")
+        rates = evaluation["skill_correctness"]
+        lines.extend(
+            _table(("skill", "rate"), ((k, _format_float(v)) for k, v in rates.items()))
+        )
     if "distractor_match" in evaluation:
         block = evaluation["distractor_match"]
         lines.append("")
@@ -984,22 +937,18 @@ def render_report(run_dir: Union[str, Path]) -> str:
         lines.append("")
         lines.append("## Subgroup agreement")
         lines.append("")
-        lines.append("| subgroup | r | p | n |")
-        lines.append("| --- | --- | --- | --- |")
-        for label, block in evaluation["subgroup_correlations"].items():
-            lines.append(
-                f"| {label} | {_format_float(block['r'])} | "
-                f"{_format_float(block['p_value'])} | {block['n']} |"
-            )
+        subgroups = evaluation["subgroup_correlations"]
+        rows = [_correlation_row(label, block) for label, block in subgroups.items()]
+        lines.extend(_table(("subgroup", "r", "p", "n"), rows))
     if "fit" in evaluation:
         block = evaluation["fit"]
         lines.append("")
         lines.append("## Ability scaling")
         lines.append("")
-        lines.append("| skill | ability |")
-        lines.append("| --- | --- |")
-        for label, value in block["beta"].items():
-            lines.append(f"| {label} | {_format_float(value)} |")
+        betas = block["beta"]
+        lines.extend(
+            _table(("skill", "ability"), ((k, _format_float(v)) for k, v in betas.items()))
+        )
         lines.append("")
         lines.append(
             f"- converged: {block['converged']} after {block['iterations']} sweeps"

@@ -157,16 +157,8 @@ class SimulatedResponse:
     parse_status: str
 
     def to_record(self) -> Dict[str, object]:
-        return {
-            "item_id": self.item_id,
-            "student_index": self.student_index,
-            "replicate": self.replicate,
-            "skill": self.skill,
-            "raw": self.raw,
-            "chosen": self.chosen,
-            "correct": self.correct,
-            "parse_status": self.parse_status,
-        }
+        # the fields in declaration order; asdict is ~20x slower per reply
+        return dict(vars(self))
 
     @classmethod
     def from_record(cls, record: Dict[str, object]) -> "SimulatedResponse":

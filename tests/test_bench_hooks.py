@@ -2,6 +2,10 @@
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -24,3 +28,50 @@ def test_every_traced_layer_function_resolves():
             owner = getattr(owner, part)
         # the tracer reads the attribute from its owner's own namespace
         assert callable(vars(owner).get(attr)), f"{name}: {module_name}.{path} is gone"
+
+
+# Gateway.run is a batch API the pipeline does not call: every run streams
+# through Gateway.stream, so its span stays empty.
+_UNREACHED = {"gateway.run"}
+
+_TRACED_RUN = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("bench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.install()
+from classim import cli
+mock = ["--corpus", "corpus.json", "--mock", "--max-in-flight", "2"]
+for argv in (
+    ["simulate", "--config", "sweep.json", "--out", "sweep"],
+    ["dpce", *mock, "--out", "dpce"],
+    ["baseline", *mock, "--out", "baseline"],
+    ["evaluate", "--run", "sweep/n5-none"],
+    ["report", "--run", "dpce"],
+    ["ensemble", "--runs", "sweep/n5-none", "dpce", "baseline"],
+):
+    assert cli.main(argv) == 0, argv
+print(json.dumps(sorted({span[1] for span in tracer.spans})))
+"""
+
+
+def test_every_traced_layer_records_a_span(tmp_path):
+    import classim
+    from conftest import make_item_record, write_corpus
+
+    write_corpus(tmp_path / "corpus.json", [make_item_record(i) for i in range(8)])
+    (tmp_path / "sweep.json").write_text(
+        json.dumps(
+            {"corpus_path": "corpus.json", "mock": True, "max_in_flight": 2, "n_students": [5, 7]}
+        ),
+        encoding="utf-8",
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(classim.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, str(SPANS)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    recorded = set(json.loads(done.stdout.splitlines()[-1]))
+    expected = {name for name, _, _, _ in _targets()} - _UNREACHED
+    assert expected - recorded == set()

@@ -55,6 +55,30 @@ class TestSimulateCommand:
         assert "('g8-0000', -1, 0)" in err and "status 400: bad request" in err
         assert not (out / "predictions.json").exists()
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            (
+                json.dumps([
+                    {k: v for k, v in make_item_record(0).items() if k != "content_area"}
+                ]),
+                "item 'g8-0000', field 'content_area'",
+            ),
+            ('[{"item_id": "g8-0000",', "invalid JSON at line 1"),
+        ],
+        ids=["missing-field", "broken-json"],
+    )
+    def test_bad_corpus_is_a_one_line_error(self, text, named, tmp_path, capsys):
+        corpus = tmp_path / "bad.json"
+        corpus.write_text(text, encoding="utf-8")
+        out = tmp_path / "run"
+        rc = run_cli("simulate", "--corpus", str(corpus), "--mock", "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert named in err
+        assert not out.exists()
+
     def test_missing_corpus_is_an_error(self, capsys):
         rc = run_cli("simulate", "--mock")
         captured = capsys.readouterr()
@@ -181,12 +205,18 @@ class TestRunOptions:
                 }}},
                 "skill_betas",
             ),
+            (["baseline", "--endpoint", "http://localhost:9/v1"],
+             {"mock": False, "timeout": 0}, "timeout"),
+            (["dpce", "--variant", "averaged"], {"temperature": -5}, "temperature"),
+            (["simulate"], {"n_students": [4, 6], "seed": "5"}, "seed"),
+            (["simulate"], {"strategy": []}, "strategy"),
         ],
         ids=[
             "max-in-flight", "max-retries", "dpce-list", "string", "mock-option",
             "mock-string", "strategy-type", "skill-weights", "dpce-strategy",
             "temperature", "garble-rate", "noise-scale", "expert-accuracy",
-            "dpce-constant", "skill-betas",
+            "dpce-constant", "skill-betas", "timeout-range", "temperature-range",
+            "sweep-seed", "empty-sweep",
         ],
     )
     def test_bad_value_fails_before_the_run_directory(

@@ -172,7 +172,7 @@ class TestFit:
     def test_mean_zero_difficulties(self):
         result = fit_rasch(small_matrix(seed=4))
         assert result.constraint == "mean_zero_delta"
-        assert float(result.delta_vector().mean()) == pytest.approx(0.0, abs=1e-12)
+        assert float(np.mean(list(result.delta.values()))) == pytest.approx(0.0, abs=1e-12)
 
     def test_log_likelihood_is_data_term(self):
         matrix = small_matrix(seed=8)

@@ -106,6 +106,10 @@ class TestConfig:
             {"temperature": "hot"},
             {"timeout": None},
             {"capture": 1},
+            {"timeout": 0},
+            {"timeout": -1.5},
+            {"temperature": -5},
+            {"temperature": float("nan")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -171,6 +175,21 @@ class TestSweep:
             assert config.temperature == 0.4
         assert runs[3][1].n_students == 300
         assert runs[3][1].strategy == "single:Maria"
+
+    @pytest.mark.parametrize("seed", ["5", 5.7, True])
+    def test_swept_seed_is_checked_like_a_single_run(self, seed):
+        base = {"corpus_path": "c.json", "seed": seed}
+        with pytest.raises(ValueError) as single:
+            expand_sweep(base)
+        with pytest.raises(ValueError) as swept:
+            expand_sweep({**base, "n_students": [4, 5]})
+        assert str(swept.value) == str(single.value)
+        assert str(single.value).startswith("seed must be int")
+
+    @pytest.mark.parametrize("name", ["n_students", "strategy"])
+    def test_empty_sweep_list_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must list at least one value"):
+            expand_sweep({"corpus_path": "c.json", name: []})
 
 
 class TestManifest:
