@@ -18,7 +18,7 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Protocol, Sequence
 
 import requests
 
@@ -42,8 +42,7 @@ _RETRY_AFTER_STATUSES = frozenset({429, 503})
 WINDOW_PER_WORKER = 4
 
 
-@dataclass(frozen=True, order=True)
-class RequestKey:
+class RequestKey(NamedTuple):
     """Identity of one completion within a run.
 
     ``student_index`` is -1 for requests that do not belong to a simulated
@@ -54,9 +53,6 @@ class RequestKey:
     item_id: str
     student_index: int
     replicate: int
-
-    def as_tuple(self) -> Tuple[str, int, int]:
-        return (self.item_id, self.student_index, self.replicate)
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,7 @@ class CompletionRequest:
 
 @dataclass(frozen=True)
 class CompletionRecord:
-    key: RequestKey
+    request: CompletionRequest
     text: str
     ok: bool
     attempts: int
@@ -174,8 +170,8 @@ class Gateway:
     worker keeps its connection. At most ``WINDOW_PER_WORKER *
     max_in_flight`` requests are taken ahead of the oldest record not yet
     consumed; they are the reorder buffer. Closing the stream cancels
-    every queued request and waits for the running ones. With
-    ``max_in_flight=1`` requests run one by one in the caller's thread.
+    every queued request and waits for the running ones. Requests to a
+    :class:`MockStudentModel` run in the caller's thread at any ``max_in_flight``.
 
     A request that exhausts its retries is reported as a failed record,
     never raised; the caller decides whether a hole is fatal. Total
@@ -205,7 +201,7 @@ class Gateway:
             try:
                 text = self.backend.complete(request)
                 return CompletionRecord(
-                    key=request.key, text=text, ok=True, attempts=attempts
+                    request=request, text=text, ok=True, attempts=attempts
                 )
             except TransientBackendError as exc:
                 last_error = str(exc)
@@ -214,19 +210,20 @@ class Gateway:
                     self._sleep(max(wait, exc.retry_after or 0.0))
             except Exception as exc:  # non-retryable: fail the key immediately
                 return CompletionRecord(
-                    key=request.key,
+                    request=request,
                     text="",
                     ok=False,
                     attempts=attempts,
                     error=str(exc),
                 )
         return CompletionRecord(
-            key=request.key, text="", ok=False, attempts=attempts, error=last_error
+            request=request, text="", ok=False, attempts=attempts, error=last_error
         )
 
     def stream(self, requests: Iterable[CompletionRequest]) -> Iterator[CompletionRecord]:
-        if self.max_in_flight == 1:
-            # a lone worker thread would only add a hand-off per request
+        if isinstance(self.backend, MockStudentModel):
+            # pure Python, so worker threads would only take turns at the
+            # interpreter lock
             yield from map(self._run_one, requests)
             return
         window = WINDOW_PER_WORKER * self.max_in_flight

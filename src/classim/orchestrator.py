@@ -204,7 +204,9 @@ def expand_sweep(
     Each expanded run gets its own seed, derived by mixing the run index
     into the base seed, so sweep points are independent draws rather than
     accidental replays of one another. A config with no list fields comes
-    back as a single unnamed run with its seed untouched.
+    back as a single unnamed run with its seed untouched. Two grid points
+    that would share a run directory (a repeated value, or ``single:``
+    names that differ only in ``:`` versus ``-``) are an error.
     """
     sizes = base.get("n_students", 300)
     strategies = base.get("strategy", "none")
@@ -216,15 +218,17 @@ def expand_sweep(
     for name, values in (("n_students", size_list), ("strategy", strategy_list)):
         if not values:
             raise ValueError(f"{name} must list at least one value")
-    runs: List[Tuple[str, ExperimentConfig]] = []
+    runs: Dict[str, ExperimentConfig] = {}
     for index, (n, strategy) in enumerate(itertools.product(size_list, strategy_list)):
         # built with the base seed first, so every field is checked as in a single run
         config = ExperimentConfig.from_mapping({**base, "n_students": n, "strategy": strategy})
         if not swept:
             return [("", config)]
         name = f"n{config.n_students}-{config.strategy.replace(':', '-')}"
-        runs.append((name, replace(config, seed=config.seed ^ mix64(index))))
-    return runs
+        if name in runs:
+            raise ValueError(f"two sweep points would share the run directory {name!r}")
+        runs[name] = replace(config, seed=config.seed ^ mix64(index))
+    return list(runs.items())
 
 
 def _canonical_json(payload: object) -> str:
@@ -373,7 +377,8 @@ def _grade_percentage(item: Item, text: str) -> Tuple[Optional[str], int, ParseS
     return None, 0, ParseStatus.PARSED if stated else ParseStatus.FAILED
 
 
-def _capture_line(request: CompletionRequest, record: CompletionRecord) -> str:
+def _capture_line(record: CompletionRecord) -> str:
+    request = record.request
     return json.dumps(
         {
             "item_id": request.key.item_id,
@@ -446,7 +451,7 @@ def _collect(
                 student_index = NO_STUDENT if seat is None else seat.student_index
                 for replicate in range(replicates):
                     key = RequestKey(item.item_id, student_index, replicate)
-                    if key.as_tuple() in done:
+                    if key in done:
                         continue
                     if issued == max_requests:
                         return
@@ -466,45 +471,42 @@ def _collect(
     capture = None
     if config.capture and out_path is not None:
         capture = open(out_path / CAPTURE_NAME, "a", encoding="utf-8")
-    # The stream and the grading loop each walk the same plan; tee holds
-    # the requests in between, at most the stream's window.
-    sent, queued = itertools.tee(plan())
-    records = gateway.stream(queued)
-    graded: List[SimulatedResponse] = []
+    records = gateway.stream(plan())
     try:
-        for request, record in zip(sent, records):
-            if capture is not None:
-                capture.write(_capture_line(request, record))
-            if graded and graded[-1].item_id != request.key.item_id:
-                append(graded)
-                graded = []
-            if not record.ok:
-                append(graded)
-                raise RequestFailed(
-                    f"run {out_path or '(in memory)'} stopped: request "
-                    f"{record.key.as_tuple()} failed after {record.attempts} "
-                    f"attempt(s): {record.error!r}"
+        for item_id, item_records in itertools.groupby(
+            records, key=lambda record: record.request.key.item_id
+        ):
+            item = corpus.by_id[item_id]
+            graded: List[SimulatedResponse] = []
+            for record in item_records:
+                request = record.request
+                if capture is not None:
+                    capture.write(_capture_line(record))
+                if not record.ok:
+                    append(graded)
+                    raise RequestFailed(
+                        f"run {out_path or '(in memory)'} stopped: request "
+                        f"{tuple(request.key)} failed after {record.attempts} "
+                        f"attempt(s): {record.error!r}"
+                    )
+                chosen, correct, status = grader(item, record.text)
+                graded.append(
+                    SimulatedResponse(
+                        item_id=item.item_id,
+                        student_index=request.key.student_index,
+                        replicate=request.key.replicate,
+                        skill="" if request.skill is None else request.skill.value,
+                        raw=record.text,
+                        chosen=chosen,
+                        correct=correct,
+                        parse_status=status.value,
+                    )
                 )
-            item = corpus.by_id[request.key.item_id]
-            chosen, correct, status = grader(item, record.text)
-            graded.append(
-                SimulatedResponse(
-                    item_id=item.item_id,
-                    student_index=record.key.student_index,
-                    replicate=record.key.replicate,
-                    skill="" if request.skill is None else request.skill.value,
-                    raw=record.text,
-                    chosen=chosen,
-                    correct=correct,
-                    parse_status=status.value,
-                )
-            )
+            append(graded)
     finally:
         records.close()
         if capture is not None:
             capture.close()
-    if graded:
-        append(graded)
 
     outcome = RunOutcome(
         manifest=manifest,

@@ -12,6 +12,7 @@ missing data, unless the caller explicitly masks failures out.
 from __future__ import annotations
 
 import ast
+import itertools
 import json
 import os
 import re
@@ -20,6 +21,8 @@ from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
+
+from .gateway import RequestKey
 
 ANSWER_KEY_FIELD = re.compile(r"^answer[\s_]*key$", re.IGNORECASE)
 
@@ -161,24 +164,45 @@ class SimulatedResponse:
         return dict(vars(self))
 
     @classmethod
-    def from_record(cls, record: Dict[str, object]) -> "SimulatedResponse":
-        try:
-            return cls(
-                item_id=str(record["item_id"]),
-                student_index=int(record["student_index"]),  # type: ignore[arg-type]
-                replicate=int(record["replicate"]),  # type: ignore[arg-type]
-                skill=str(record["skill"]),
-                raw=str(record["raw"]),
-                chosen=None if record["chosen"] is None else str(record["chosen"]),
-                correct=int(record["correct"]),  # type: ignore[arg-type]
-                parse_status=str(record["parse_status"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"response record is missing field {exc}") from None
+    def from_record(cls, record: object) -> "SimulatedResponse":
+        """The response one log record holds; a ValueError naming the field
+        unless the record is an object with every field, each of its type."""
+        if not isinstance(record, dict):
+            raise ValueError(f"response record must be an object, got {record!r}")
+        values = [record.get(name, _MISSING) for name in _RECORD_TYPES]
+        if tuple(map(type, values)) not in _RECORD_ROWS:
+            for (name, kinds), value in zip(_RECORD_TYPES.items(), values):
+                if value is _MISSING:
+                    raise ValueError(f"response record is missing field {name!r}")
+                if type(value) not in kinds:
+                    expected = " or ".join(
+                        "null" if kind is type(None) else kind.__name__ for kind in kinds
+                    )
+                    raise ValueError(
+                        f"response field {name!r} must be {expected}, got {value!r}"
+                    )
+        return cls(*values)
 
     @property
-    def key(self) -> Tuple[str, int, int]:
-        return (self.item_id, self.student_index, self.replicate)
+    def key(self) -> RequestKey:
+        return RequestKey(self.item_id, self.student_index, self.replicate)
+
+
+# The JSON types of a log record's fields, in field order; matched
+# exactly, so that true is not an int.
+_MISSING = object()
+_RECORD_TYPES: Dict[str, Tuple[type, ...]] = {
+    "item_id": (str,),
+    "student_index": (int,),
+    "replicate": (int,),
+    "skill": (str,),
+    "raw": (str,),
+    "chosen": (str, type(None)),
+    "correct": (int,),
+    "parse_status": (str,),
+}
+# Every valid row of field types, so a good record costs one set lookup.
+_RECORD_ROWS = set(itertools.product(*_RECORD_TYPES.values()))
 
 
 def response_line(response: SimulatedResponse) -> str:
@@ -220,15 +244,14 @@ class ResponseLog:
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
+                    responses.append(SimulatedResponse.from_record(json.loads(line)))
                 except ValueError as exc:
                     raise ValueError(
                         f"{self.path}:{lineno}: corrupt response line: {exc}"
                     ) from None
-                responses.append(SimulatedResponse.from_record(record))
         return responses
 
-    def open_resumable(self) -> Tuple[List[SimulatedResponse], Set[Tuple[str, int, int]]]:
+    def open_resumable(self) -> Tuple[List[SimulatedResponse], Set[RequestKey]]:
         self.repair()
         responses = self.read_all()
         return responses, {response.key for response in responses}

@@ -210,13 +210,16 @@ class TestRunOptions:
             (["dpce", "--variant", "averaged"], {"temperature": -5}, "temperature"),
             (["simulate"], {"n_students": [4, 6], "seed": "5"}, "seed"),
             (["simulate"], {"strategy": []}, "strategy"),
+            (["simulate"], {"n_students": [4, 4]}, "n4-none"),
+            (["simulate"], {"strategy": ["single:Ana-Lee", "single:Ana:Lee"]},
+             "n300-single-Ana-Lee"),
         ],
         ids=[
             "max-in-flight", "max-retries", "dpce-list", "string", "mock-option",
             "mock-string", "strategy-type", "skill-weights", "dpce-strategy",
             "temperature", "garble-rate", "noise-scale", "expert-accuracy",
             "dpce-constant", "skill-betas", "timeout-range", "temperature-range",
-            "sweep-seed", "empty-sweep",
+            "sweep-seed", "empty-sweep", "repeated-size", "single-name-clash",
         ],
     )
     def test_bad_value_fails_before_the_run_directory(
@@ -234,6 +237,28 @@ class TestRunOptions:
         assert err.startswith("error:") and err.count("\n") == 1
         assert named in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [None, "x"], ids=["null", "string"])
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+def test_malformed_log_record_is_a_one_line_error(
+    command, value, corpus_path, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    argv = ["simulate", "--corpus", corpus_path, "--mock", "--n", "10", "--out", str(out)]
+    assert run_cli(*argv) == 0
+    log = out / "responses.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[2])
+    record["student_index"] = value
+    lines[2] = json.dumps(record) + "\n"
+    log.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    rc = run_cli(*(["evaluate", "--run", str(out)] if command == "evaluate" else argv))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{log}:3:" in err and "student_index" in err
 
 
 @pytest.fixture(scope="module")

@@ -120,7 +120,7 @@ def test_results_keep_request_order_under_concurrency():
     gateway = make_gateway(JitterBackend(), max_in_flight=8)
     batch = [request(i) for i in range(16)]
     records = gateway.run(batch)
-    assert [r.key for r in records] == [b.key for b in batch]
+    assert [r.request.key for r in records] == [b.key for b in batch]
     assert [r.text for r in records] == [f"echo {i}" for i in range(16)]
 
 
@@ -135,7 +135,7 @@ def test_stream_takes_at_most_its_window_ahead():
 
     stream = make_gateway(FlakyBackend(failures=0), max_in_flight=3).stream(requests())
     for consumed, record in enumerate(stream):
-        assert record.key == key(consumed)
+        assert record.request.key == key(consumed)
         assert len(taken) <= window + consumed
     assert len(taken) == 5 * window
 

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import threading
 import time
 from dataclasses import fields, replace
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -293,7 +295,7 @@ class TestSimulate:
 
         class FailingOnKeys:
             def complete(self, request):
-                if request.key.as_tuple() in bad_keys:
+                if request.key in bad_keys:
                     raise RuntimeError("backend unavailable")
                 return mock.complete(request)
 
@@ -478,7 +480,7 @@ class DelayedMock:
     def complete(self, request):
         with self.lock:
             self.threads.add(threading.current_thread().name)
-        time.sleep((derive_seed(11, "delay", *request.key.as_tuple()) % 4) / 1000.0)
+        time.sleep((derive_seed(11, "delay", *request.key) % 4) / 1000.0)
         return self.mock.complete(request)
 
 
@@ -522,7 +524,7 @@ class TestStream:
 
         class FailingOnKey:
             def complete(self, request):
-                if request.key.as_tuple() == ("g8-0002", 5, 0):
+                if request.key == ("g8-0002", 5, 0):
                     raise RuntimeError("backend unavailable")
                 return delayed.complete(request)
 
@@ -543,6 +545,111 @@ class TestStream:
         outcome = run_simulate(replace(world["config"], max_in_flight=8), backend=backend)
         assert outcome.completed
         assert 1 < len(backend.threads) <= 8
+
+    def test_the_mock_runs_in_the_calling_thread(self, world, tmp_path):
+        threads = set()
+
+        class ThreadRecordingMock(MockStudentModel):
+            def complete(self, request):
+                threads.add(threading.current_thread())
+                return super().complete(request)
+
+        backend = ThreadRecordingMock(
+            corpus=load_corpus(world["corpus_path"]), seed=world["config"].seed
+        )
+        config = replace(world["config"], max_in_flight=8)
+        assert run_simulate(config, out_dir=tmp_path, backend=backend).completed
+        assert threads == {threading.current_thread()}
+        assert world["config"].max_in_flight == 1
+        assert (tmp_path / RESPONSES_NAME).read_bytes() == (
+            world["run_dir"] / RESPONSES_NAME
+        ).read_bytes()
+
+
+class _AnswerByContent(BaseHTTPRequestHandler):
+    """A chat endpoint whose reply is a hash of the request body, so it
+    does not depend on request order; while the server's ``refuse`` is
+    set, every request whose user message contains it gets a 400."""
+
+    protocol_version = "HTTP/1.1"
+    # headers and body go out in two writes; Nagle would hold the second
+    disable_nagle_algorithm = True
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        user = json.loads(body)["messages"][-1]["content"]
+        if self.server.refuse is not None and self.server.refuse in user:
+            status, payload = 400, {"error": "refused"}
+        else:
+            digest = hashlib.sha256(body).digest()
+            text = (
+                f"Answer Key: {'ABCD'[digest[0] % 4]}\n"
+                f"Percentage Correct: {digest[1] % 101}"
+            )
+            status, payload = 200, {"choices": [{"message": {"content": text}}]}
+        blob = json.dumps(payload).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(blob)))
+        self.end_headers()
+        self.wfile.write(blob)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def content_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _AnswerByContent)
+    server.daemon_threads = True
+    server.refuse = None
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+REFUSED_ITEM = "g8-0003"
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 4])
+@pytest.mark.parametrize(
+    "run, settings",
+    [(run_simulate, {}), (run_dpce, {"dpce_variant": "averaged"}), (run_baseline, {})],
+    ids=["simulate", "dpce", "baseline"],
+)
+def test_endpoint_run_stops_on_a_refusal_and_resumes(
+    run, settings, max_in_flight, content_server, world, tmp_path
+):
+    port = content_server.server_address[1]
+    config = replace(
+        world["config"],
+        mock=False,
+        endpoint=f"http://127.0.0.1:{port}/v1/chat/completions",
+        max_in_flight=max_in_flight,
+        **settings,
+    )
+    whole, stopped = tmp_path / "whole", tmp_path / "stopped"
+    assert run(config, out_dir=whole).completed
+    reference = (whole / RESPONSES_NAME).read_bytes()
+    lines = reference.splitlines(keepends=True)
+    before = [json.loads(line)["item_id"] for line in lines].index(REFUSED_ITEM)
+
+    content_server.refuse = f"Problem {int(REFUSED_ITEM[-4:])}:"
+    with pytest.raises(RequestFailed, match=rf"'{REFUSED_ITEM}'.*status 400"):
+        run(config, out_dir=stopped)
+    # every request of the refused item fails, so the first failure in
+    # plan order is its first request, however many were in flight
+    assert (stopped / RESPONSES_NAME).read_bytes() == b"".join(lines[:before])
+    assert not (stopped / PREDICTIONS_NAME).exists()
+
+    content_server.refuse = None
+    assert run(config, out_dir=stopped).completed
+    for name in (RESPONSES_NAME, PREDICTIONS_NAME):
+        assert (stopped / name).read_bytes() == (whole / name).read_bytes()
 
 
 class TestEvaluate:
