@@ -80,9 +80,15 @@ def _base_mapping(args: argparse.Namespace) -> Dict[str, object]:
     base: Dict[str, object] = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
-            base = json.load(handle)
+            try:
+                base = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"{args.config}: invalid JSON at line {exc.lineno}, "
+                    f"column {exc.colno}: {exc.msg}"
+                ) from None
         if not isinstance(base, dict):
-            raise ValueError("config file must hold a JSON object")
+            raise ValueError(f"{args.config}: config file must hold a JSON object")
     base.update(
         (name, value)
         for name, value in vars(args).items()

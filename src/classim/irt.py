@@ -17,7 +17,6 @@ line search.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -123,8 +122,6 @@ class FitResult:
     log_likelihood: float
     iterations: int
     converged: bool
-    ridge: float
-    constraint: str = "mean_zero_delta"
 
     def to_json_dict(self) -> Dict[str, object]:
         return {
@@ -133,23 +130,9 @@ class FitResult:
             "log_likelihood": self.log_likelihood,
             "iterations": self.iterations,
             "converged": self.converged,
-            "lambda": self.ridge,
-            "constraint": self.constraint,
+            "lambda": RIDGE,
+            "constraint": "mean_zero_delta",
         }
-
-    @classmethod
-    def load(cls, path: str) -> "FitResult":
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-        return cls(
-            beta={str(k): float(v) for k, v in raw["beta"].items()},
-            delta={str(k): float(v) for k, v in raw["delta"].items()},
-            log_likelihood=float(raw["log_likelihood"]),
-            iterations=int(raw["iterations"]),
-            converged=bool(raw["converged"]),
-            ridge=float(raw["lambda"]),
-            constraint=str(raw.get("constraint", "mean_zero_delta")),
-        )
 
 
 def _initial_values(stats: SufficientStats) -> Tuple[np.ndarray, np.ndarray]:
@@ -219,7 +202,6 @@ def fit_rasch(matrix: ResponseMatrix) -> FitResult:
         log_likelihood=data_log_likelihood(beta, delta, stats),
         iterations=iterations,
         converged=converged,
-        ridge=RIDGE,
     )
 
 

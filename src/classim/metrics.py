@@ -20,6 +20,8 @@ from .corpus import Corpus
 from .responses import ParseStatus, ResponseMatrix, SimulatedResponse
 from .rng import SplitMix64, derive_seed
 
+PERMUTATION_ROUNDS = 10000  # shuffles behind every permutation p-value
+
 
 @dataclass(frozen=True)
 class CorrelationResult:
@@ -91,33 +93,37 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
 
 
 def permutation_pvalue(
-    x: Sequence[float],
-    y: Sequence[float],
-    seed: int,
-    rounds: int = 10000,
-    rank: bool = False,
-) -> float:
-    """Two-sided Monte Carlo permutation p for a correlation.
+    x: Sequence[float], y: Sequence[float], seed: int
+) -> Tuple[float, float]:
+    """Two-sided Monte Carlo permutation p for Pearson and Spearman.
 
-    The t approximation is shaky below a dozen points; this shuffles one
-    series and counts permutations at least as extreme as what was seen.
-    Add-one smoothing keeps the estimate away from an impossible zero.
+    The t approximation is shaky below a dozen points; this shuffles the
+    positions of one series and counts permutations at least as extreme
+    as what was seen. One stream of shuffles serves both correlations:
+    each round indexes the values and their average ranks with the same
+    order. Add-one smoothing keeps the estimate away from an impossible
+    zero. Returns ``(pearson_p, spearman_p)``.
     """
     ax, ay = _as_float_arrays(x, y)
-    if rank:
-        ax, ay = average_ranks(ax), average_ranks(ay)
-    observed = abs(_pearson_r(ax, ay))
-    if math.isnan(observed):
-        return float("nan")
+    pairs = ((ax, ay), (average_ranks(ax), average_ranks(ay)))
+    observed = [abs(_pearson_r(left, right)) for left, right in pairs]
+    if all(math.isnan(seen) for seen in observed):
+        return float("nan"), float("nan")
     rng = SplitMix64(derive_seed(seed, "permutation"))
-    shuffled = list(ay)
-    hits = 0
-    for _ in range(rounds):
-        rng.shuffle(shuffled)
-        r = _pearson_r(ax, np.asarray(shuffled))
-        if not math.isnan(r) and abs(r) >= observed - 1e-15:
-            hits += 1
-    return (1 + hits) / (1 + rounds)
+    order = list(range(len(ay)))
+    hits = [0, 0]
+    for _ in range(PERMUTATION_ROUNDS):
+        rng.shuffle(order)
+        index = np.array(order)
+        for k, (left, right) in enumerate(pairs):
+            r = _pearson_r(left, right[index])
+            if not math.isnan(r) and abs(r) >= observed[k] - 1e-15:
+                hits[k] += 1
+    pearson_p, spearman_p = (
+        float("nan") if math.isnan(seen) else (1 + count) / (1 + PERMUTATION_ROUNDS)
+        for seen, count in zip(observed, hits)
+    )
+    return pearson_p, spearman_p
 
 
 def mann_whitney_auc(

@@ -149,6 +149,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= {least}")
         if not self.timeout > 0:
             raise ValueError("timeout must be > 0")
+        for name in ("temperature", "timeout"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.dpce_variant not in _DPCE_VARIANTS:
             raise ValueError(f"unknown dpce_variant {self.dpce_variant!r}")
         unknown = sorted(set(self.mock_options) - _MOCK_OPTIONS)
@@ -684,8 +687,9 @@ def evaluate_predictions(
         "spearman": _correlation_payload(spearman(sim, real), method),
     }
     if method == "permutation":
-        result["pearson"]["p_value"] = permutation_pvalue(sim, real, seed)
-        result["spearman"]["p_value"] = permutation_pvalue(sim, real, seed, rank=True)
+        pearson_p, spearman_p = permutation_pvalue(sim, real, seed)
+        result["pearson"]["p_value"] = pearson_p
+        result["spearman"]["p_value"] = spearman_p
     for mode in ("hard_vs_easy", "hard_vs_rest"):
         result[f"auc_{mode}"] = asdict(difficulty_separation(pred_map, labels, mode=mode))
     return result
@@ -772,7 +776,7 @@ def evaluate_run(
             }
         fit_path = run_path / FIT_NAME
         if fit_path.exists():
-            fit = asdict(FitResult.load(str(fit_path)))
+            fit = _read_json(fit_path)
             keep = ("beta", "converged", "iterations", "log_likelihood")
             evaluation["fit"] = {name: fit[name] for name in keep}
 

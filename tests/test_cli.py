@@ -79,6 +79,30 @@ class TestSimulateCommand:
         assert named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("{not json", "invalid JSON at line 1, column 2"),
+            ("[1, 2]", "config file must hold a JSON object"),
+        ],
+        ids=["broken-json", "not-an-object"],
+    )
+    def test_bad_config_file_error_names_the_file(
+        self, text, named, corpus_path, tmp_path, capsys
+    ):
+        config = tmp_path / "bad.json"
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / "run"
+        rc = run_cli(
+            "simulate", "--corpus", corpus_path, "--mock",
+            "--config", str(config), "--out", str(out),
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {config}: ") and err.count("\n") == 1
+        assert named in err
+        assert not out.exists()
+
     def test_missing_corpus_is_an_error(self, capsys):
         rc = run_cli("simulate", "--mock")
         captured = capsys.readouterr()
@@ -213,6 +237,9 @@ class TestRunOptions:
             (["simulate"], {"n_students": [4, 4]}, "n4-none"),
             (["simulate"], {"strategy": ["single:Ana-Lee", "single:Ana:Lee"]},
              "n300-single-Ana-Lee"),
+            (["dpce", "--variant", "averaged"], {"temperature": float("inf")},
+             "temperature"),
+            (["simulate"], {"timeout": float("inf")}, "timeout"),
         ],
         ids=[
             "max-in-flight", "max-retries", "dpce-list", "string", "mock-option",
@@ -220,6 +247,7 @@ class TestRunOptions:
             "temperature", "garble-rate", "noise-scale", "expert-accuracy",
             "dpce-constant", "skill-betas", "timeout-range", "temperature-range",
             "sweep-seed", "empty-sweep", "repeated-size", "single-name-clash",
+            "temperature-inf", "timeout-inf",
         ],
     )
     def test_bad_value_fails_before_the_run_directory(

@@ -176,6 +176,7 @@ def http_server():
     yield server
     server.shutdown()
     thread.join()
+    server.server_close()
 
 
 def _ok_payload(text):

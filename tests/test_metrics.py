@@ -13,7 +13,10 @@ from classim.classroom import (
     sample_classroom,
 )
 from classim.corpus import parse_corpus_records
+from classim import metrics
 from classim.metrics import (
+    PERMUTATION_ROUNDS,
+    _pearson_r,
     average_ranks,
     difficulty_separation,
     distractor_match,
@@ -26,6 +29,7 @@ from classim.metrics import (
     subgroup_correlations,
 )
 from classim.responses import ResponseMatrix, SimulatedResponse, build_matrix
+from classim.rng import SplitMix64, derive_seed
 
 from conftest import make_item_record
 
@@ -129,35 +133,100 @@ class TestRanksAndSpearman:
         assert spearman(x, y).r == pytest.approx(1.0)
 
 
+def reference_permutation_pvalue(x, y, seed, rounds, rank=False):
+    """The scalar algorithm: shuffle a copy of the values, one statistic."""
+    ax, ay = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if rank:
+        ax, ay = average_ranks(ax), average_ranks(ay)
+    observed = abs(_pearson_r(ax, ay))
+    if math.isnan(observed):
+        return float("nan")
+    rng = SplitMix64(derive_seed(seed, "permutation"))
+    shuffled = list(ay)
+    hits = 0
+    for _ in range(rounds):
+        rng.shuffle(shuffled)
+        r = _pearson_r(ax, np.asarray(shuffled))
+        if not math.isnan(r) and abs(r) >= observed - 1e-15:
+            hits += 1
+    return (1 + hits) / (1 + rounds)
+
+
+def reference_pair(x, y, seed, rounds):
+    return tuple(
+        reference_permutation_pvalue(x, y, seed, rounds, rank=rank)
+        for rank in (False, True)
+    )
+
+
+def same_floats(a, b):
+    return len(a) == len(b) and all(
+        u == v or (math.isnan(u) and math.isnan(v)) for u, v in zip(a, b)
+    )
+
+
 class TestPermutation:
     def test_deterministic_per_seed(self):
         x = [1.0, 2.0, 3.0, 4.0, 5.0]
         y = [1.1, 1.9, 3.2, 3.8, 5.1]
-        a = permutation_pvalue(x, y, seed=3, rounds=500)
-        assert a == permutation_pvalue(x, y, seed=3, rounds=500)
-        assert a != permutation_pvalue(x, y, seed=4, rounds=500)
+        a = permutation_pvalue(x, y, seed=3)
+        assert a == permutation_pvalue(x, y, seed=3)
+        assert a != permutation_pvalue(x, y, seed=4)
 
     def test_strong_association_is_small(self):
         x = list(range(8))
-        p = permutation_pvalue(x, [2.0 * v for v in x], seed=0, rounds=2000)
+        p = permutation_pvalue(x, [2.0 * v for v in x], seed=0)[0]
         assert p < 0.01
 
     def test_smoothing_floor(self):
         x = list(range(8))
-        p = permutation_pvalue(x, [float(v) for v in x], seed=0, rounds=100)
-        assert p >= 1 / 101
+        p = permutation_pvalue(x, [float(v) for v in x], seed=0)[0]
+        assert p >= 1 / (1 + PERMUTATION_ROUNDS)
 
     def test_noise_is_large(self):
         x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         y = [3.0, 1.0, 5.0, 2.0, 6.0, 4.0]
-        p = permutation_pvalue(x, y, seed=1, rounds=2000)
+        p = permutation_pvalue(x, y, seed=1)[0]
         assert p > 0.05
 
     def test_rank_variant(self):
         x = [1.0, 2.0, 3.0, 4.0, 5.0]
         y = [math.exp(v) for v in x]
-        p = permutation_pvalue(x, y, seed=2, rounds=1000, rank=True)
+        p = permutation_pvalue(x, y, seed=2)[1]
         assert p < 0.05
+
+    def test_pair_matches_the_scalar_reference(self, monkeypatch):
+        rounds = 200
+        monkeypatch.setattr(metrics, "PERMUTATION_ROUNDS", rounds)
+        rng = np.random.default_rng(41)
+        kinds = ("ties", "correlated", "uniform", "constant")
+        for case in range(240):
+            n = int(rng.integers(3, 10))
+            kind = kinds[case % len(kinds)]
+            if kind == "ties":
+                x = rng.integers(0, 3, size=n).astype(float)
+                y = rng.integers(0, 3, size=n).astype(float)
+            elif kind == "correlated":
+                x = rng.random(n)
+                y = x + 0.3 * rng.random(n)
+            elif kind == "uniform":
+                x, y = rng.random(n), rng.random(n)
+            else:
+                x, y = rng.random(n), np.full(n, 0.25)
+                if case % 8 == 7:
+                    x, y = y, x
+            x, y = [float(v) for v in x], [float(v) for v in y]
+            seed = int(rng.integers(0, 2**32))
+            pair = permutation_pvalue(x, y, seed)
+            assert same_floats(pair, reference_pair(x, y, seed, rounds)), (x, y, seed)
+            if kind == "constant":
+                assert all(math.isnan(p) for p in pair)
+
+    def test_full_rounds_match_the_scalar_reference(self):
+        x = [0.2, 0.5, 0.5, 0.9, 0.1, 0.7, 0.3, 0.5]
+        y = [0.3, 0.4, 0.6, 0.8, 0.2, 0.6, 0.4, 0.5]
+        pair = permutation_pvalue(x, y, seed=7)
+        assert pair == reference_pair(x, y, 7, PERMUTATION_ROUNDS)
 
 
 class TestAuc:

@@ -11,6 +11,7 @@ import pytest
 from classim.cli import _base_mapping, build_parser
 from classim.corpus import load_corpus
 from classim.gateway import MockStudentModel, TransientBackendError
+from classim.metrics import PERMUTATION_ROUNDS
 from classim.orchestrator import (
     CAPTURE_NAME,
     EVALUATION_CSV_NAME,
@@ -34,7 +35,7 @@ from classim.orchestrator import (
     _FIELD_TYPES,
 )
 from classim.promptgen import PromptTemplates
-from classim.rng import derive_seed, mix64
+from classim.rng import SplitMix64, derive_seed, mix64
 
 from conftest import make_item_record, write_corpus
 
@@ -112,6 +113,8 @@ class TestConfig:
             {"timeout": -1.5},
             {"temperature": -5},
             {"temperature": float("nan")},
+            {"temperature": float("inf")},
+            {"timeout": float("inf")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -698,6 +701,21 @@ class TestEvaluate:
     def test_corpus_override(self, world):
         evaluation = evaluate_run(world["run_dir"], corpus_path=world["corpus_path"])
         assert evaluation["metrics"]["n_items"] == N_ITEMS
+
+    def test_one_shuffle_stream_serves_both_correlations(self, world, monkeypatch):
+        shuffles = []
+        shuffle = SplitMix64.shuffle
+
+        def counting(self, items):
+            shuffles.append(len(items))
+            shuffle(self, items)
+
+        monkeypatch.setattr(SplitMix64, "shuffle", counting)
+        corpus = load_corpus(world["corpus_path"])
+        predictions = {item.item_id: 0.1 * (k % 5) for k, item in enumerate(corpus)}
+        metrics = evaluate_predictions(predictions, corpus, seed=3)
+        assert metrics["pearson"]["p_method"] == "permutation"
+        assert shuffles == [N_ITEMS] * PERMUTATION_ROUNDS
 
     def test_needs_three_predictions(self, world):
         corpus = load_corpus(world["corpus_path"])
