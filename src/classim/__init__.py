@@ -13,7 +13,7 @@ from .classroom import (
     SkillLevel,
     allocate_counts,
     sample_classroom,
-    strategy_from_spec,
+    strategy_kind,
 )
 from .corpus import Corpus, Item, filter_corpus, load_corpus, save_corpus
 from .gateway import Gateway, HttpChatBackend, MockStudentModel
@@ -44,7 +44,7 @@ __all__ = [
     "SkillLevel",
     "allocate_counts",
     "sample_classroom",
-    "strategy_from_spec",
+    "strategy_kind",
     "Corpus",
     "Item",
     "filter_corpus",

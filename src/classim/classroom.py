@@ -2,8 +2,9 @@
 
 A classroom is a list of student profiles: a skill-level composition
 apportioned from a weight distribution, plus an identity per student
-according to the configured identifier strategy. Sampling is a pure
-function of (n, grade, distribution, strategy, seed).
+according to the identity strategy, a spec string whose kind is one of
+``none | ids | single | diverse``. Sampling is a pure function of
+(n, distribution, strategy, seed).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from importlib import resources
-from typing import Optional, Union
+from typing import Optional
 
 from .rng import SplitMix64, derive_seed
 
@@ -86,38 +87,8 @@ class NameRecord:
 
 
 @dataclass(frozen=True)
-class NoIdentifier:
-    kind = "none"
-
-
-@dataclass(frozen=True)
-class StudentIds:
-    kind = "ids"
-
-
-@dataclass(frozen=True)
-class SingleName:
-    name: str
-    kind = "single"
-
-
-@dataclass(frozen=True)
-class DiverseNames:
-    pool: tuple[NameRecord, ...]
-    kind = "diverse"
-
-    def __post_init__(self):
-        if not self.pool:
-            raise ValueError("diverse-names pool must be non-empty")
-
-
-IdentifierStrategy = Union[NoIdentifier, StudentIds, SingleName, DiverseNames]
-
-
-@dataclass(frozen=True)
 class StudentProfile:
     student_index: int
-    grade: int
     skill: SkillLevel
     identity: Optional[str]
     identity_kind: str
@@ -179,9 +150,9 @@ def _assign_student_ids(n: int, rng: SplitMix64) -> list[str]:
     return [f"STU{number:06d}" for number in numbers]
 
 
-def _assign_diverse_names(n: int, strategy: DiverseNames, rng: SplitMix64) -> list[NameRecord]:
+def _assign_diverse_names(n: int, rng: SplitMix64) -> list[NameRecord]:
     by_cell: dict[tuple[str, str], list[NameRecord]] = {}
-    for record in strategy.pool:
+    for record in load_name_pool():
         by_cell.setdefault((record.race, record.gender), []).append(record)
     cells = sorted(by_cell)
     rng.shuffle(cells)
@@ -199,9 +170,8 @@ def _assign_diverse_names(n: int, strategy: DiverseNames, rng: SplitMix64) -> li
 
 def sample_classroom(
     n: int,
-    grade: int,
     dist: SkillDistribution,
-    strategy: IdentifierStrategy,
+    strategy: str,
     seed: int,
 ) -> list[StudentProfile]:
     """Sample n student profiles deterministically.
@@ -210,6 +180,7 @@ def sample_classroom(
     order; identities are drawn from a stream derived from the seed so the
     same call always yields the same roster.
     """
+    kind = strategy_kind(strategy)
     counts = allocate_counts(n, dist)
     skills: list[SkillLevel] = []
     for level in SKILL_ORDER:
@@ -217,43 +188,35 @@ def sample_classroom(
 
     identities: list[Optional[str]] = [None] * n
     demographics: list[Optional[tuple[str, str]]] = [None] * n
-    if isinstance(strategy, StudentIds):
+    if kind == "ids":
         rng = SplitMix64(derive_seed(seed, "student-ids"))
         identities = list(_assign_student_ids(n, rng))
-    elif isinstance(strategy, SingleName):
-        identities = [strategy.name] * n
-    elif isinstance(strategy, DiverseNames):
+    elif kind == "single":
+        identities = [strategy.split(":", 1)[1]] * n
+    elif kind == "diverse":
         rng = SplitMix64(derive_seed(seed, "diverse-names"))
-        records = _assign_diverse_names(n, strategy, rng)
+        records = _assign_diverse_names(n, rng)
         identities = [r.name for r in records]
         demographics = [(r.gender, r.race) for r in records]
-    elif not isinstance(strategy, NoIdentifier):
-        raise TypeError(f"unknown identifier strategy {strategy!r}")
 
     return [
         StudentProfile(
             student_index=index,
-            grade=grade,
             skill=skills[index],
             identity=identities[index],
-            identity_kind=strategy.kind,
+            identity_kind=kind,
             name_demographics=demographics[index],
         )
         for index in range(n)
     ]
 
 
-def strategy_from_spec(spec: str) -> IdentifierStrategy:
-    """Parse a strategy spec string: none | ids | single:<name> | diverse."""
-    if spec == "none":
-        return NoIdentifier()
-    if spec == "ids":
-        return StudentIds()
+def strategy_kind(spec: str) -> str:
+    """The kind of a strategy spec string: none | ids | single:<name> | diverse."""
+    if spec in ("none", "ids", "diverse"):
+        return spec
     if spec.startswith("single:"):
-        name = spec.split(":", 1)[1]
-        if not name:
+        if spec == "single:":
             raise ValueError("single-name strategy needs a name, e.g. single:Tameka")
-        return SingleName(name)
-    if spec == "diverse":
-        return DiverseNames(pool=load_name_pool())
+        return "single"
     raise ValueError(f"unknown identifier strategy {spec!r}")

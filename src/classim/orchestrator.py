@@ -28,7 +28,7 @@ from .classroom import (
     SkillDistribution,
     StudentProfile,
     sample_classroom,
-    strategy_from_spec,
+    strategy_kind,
 )
 from .corpus import Corpus, Item, filter_corpus, load_corpus
 from .gateway import (
@@ -160,7 +160,7 @@ class ExperimentConfig:
                 f"unknown mock_options key(s) {unknown}; known: {sorted(_MOCK_OPTIONS)}"
             )
         # parsed here, not first in the run, so every mode rejects them early
-        strategy_from_spec(self.strategy)
+        strategy_kind(self.strategy)
         try:
             self.distribution()
         except (TypeError, ValueError) as exc:
@@ -275,9 +275,23 @@ def _write_json(path: Path, payload: Mapping[str, object]) -> None:
         handle.write("\n")
 
 
-def _read_json(path: Path) -> Dict[str, object]:
+def _read_json(path: Path, *fields: str) -> Dict[str, object]:
+    """The JSON object in ``path``; a ValueError naming the file unless it
+    parses to an object that holds every one of ``fields``."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"{path}: invalid JSON at line {exc.lineno}, "
+                f"column {exc.colno}: {exc.msg}"
+            ) from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: must hold a JSON object")
+    for name in fields:
+        if name not in payload:
+            raise ValueError(f"{path}: missing field {name!r}")
+    return payload
 
 
 def _load_run_corpus(config: ExperimentConfig) -> Corpus:
@@ -287,25 +301,6 @@ def _load_run_corpus(config: ExperimentConfig) -> Corpus:
     if len(corpus) == 0:
         raise ValueError("no items left after filtering; check corpus and grade")
     return corpus
-
-
-def _build_rosters(
-    config: ExperimentConfig, corpus: Corpus
-) -> Dict[int, List[StudentProfile]]:
-    """One roster per grade present, all drawn from the same seed.
-
-    Sharing the seed keeps student k's skill and identity stable across
-    grades, so a multi-grade evaluation sees one cohort, not one cohort
-    per grade.
-    """
-    strategy = strategy_from_spec(config.strategy)
-    dist = config.distribution()
-    rosters: Dict[int, List[StudentProfile]] = {}
-    for grade in corpus.grades_present():
-        rosters[grade] = sample_classroom(
-            config.n_students, grade, dist, strategy, config.seed
-        )
-    return rosters
 
 
 def _make_backend(config: ExperimentConfig, corpus: Corpus) -> CompletionBackend:
@@ -346,8 +341,8 @@ def _prepare_out_dir(
     out_path.mkdir(parents=True, exist_ok=True)
     manifest_path = out_path / MANIFEST_NAME
     if manifest_path.exists():
-        existing = _read_json(manifest_path)
-        if existing.get("config_hash") != manifest["config_hash"]:
+        existing = _read_json(manifest_path, "config_hash")
+        if existing["config_hash"] != manifest["config_hash"]:
             raise ValueError(
                 f"{out_path} holds a run with a different configuration; "
                 "pick a fresh directory or delete the old run"
@@ -410,10 +405,11 @@ def _collect(
 ) -> Tuple[RunOutcome, Corpus]:
     """The request pipeline every mode runs through.
 
-    A seated mode asks each student of the item's grade roster; the other
-    modes ask from one ``NO_STUDENT`` seat. The plan covers items in
-    corpus order, then seats, then replicates, and is rendered lazily as
-    one gateway stream consumes it; that order is also the log order:
+    A seated mode asks each student of the run's one roster, as a student
+    of the item's grade; the other modes ask from one ``NO_STUDENT``
+    seat. The plan covers items in corpus order, then seats, then
+    replicates, and is rendered lazily as one gateway stream consumes
+    it; that order is also the log order:
     equal seeds give byte-identical logs and an interrupted log is a
     clean prefix that a rerun completes. Replies are graded as they
     arrive and appended once per item. A request that still fails after
@@ -426,17 +422,17 @@ def _collect(
     """
     corpus = _load_run_corpus(config)
     templates = PromptTemplates.load()
-    seats: Mapping[int, Sequence[Optional[StudentProfile]]]
+    seats: Sequence[Optional[StudentProfile]] = (None,)
+    n_students, names_repeat = 0, False
     if seated:
-        seats = _build_rosters(config, corpus)
-        n_students = sum(len(roster) for roster in seats.values())
-        names_repeat = config.strategy == "diverse" and any(
-            len({p.identity for p in roster}) < len(roster) for roster in seats.values()
+        seats = roster = sample_classroom(
+            config.n_students, config.distribution(), config.strategy, config.seed
         )
-    else:
-        seats = {grade: (None,) for grade in corpus.grades_present()}
-        n_students, names_repeat = 0, False
-    n_requests = sum(len(seats[item.grade]) * replicates for item in corpus)
+        # counted per grade present: it feeds manifest_hash, which every artifact embeds
+        n_students = len(roster) * len(corpus.grades_present())
+        names = {profile.identity for profile in roster}
+        names_repeat = config.strategy == "diverse" and len(names) < len(roster)
+    n_requests = len(seats) * replicates * len(corpus)
     if backend is None:
         backend = _make_backend(config, corpus)
     manifest = build_manifest(
@@ -450,7 +446,7 @@ def _collect(
     def plan() -> Iterator[CompletionRequest]:
         issued = 0
         for item in corpus:
-            for seat in seats[item.grade]:
+            for seat in seats:
                 student_index = NO_STUDENT if seat is None else seat.student_index
                 for replicate in range(replicates):
                     key = RequestKey(item.item_id, student_index, replicate)
@@ -695,21 +691,14 @@ def evaluate_predictions(
     return result
 
 
-def _demographic_groups(
-    rosters: Mapping[int, Sequence[StudentProfile]]
-) -> Dict[str, List[int]]:
+def _demographic_groups(roster: Sequence[StudentProfile]) -> Dict[str, List[int]]:
     groups: Dict[str, List[int]] = {}
-    seen: set = set()
-    for roster in rosters.values():
-        for profile in roster:
-            if profile.name_demographics is None:
-                continue
-            if profile.student_index in seen:
-                continue
-            seen.add(profile.student_index)
-            gender, race = profile.name_demographics
-            groups.setdefault(gender.lower(), []).append(profile.student_index)
-            groups.setdefault(race.lower(), []).append(profile.student_index)
+    for profile in roster:
+        if profile.name_demographics is None:
+            continue
+        gender, race = profile.name_demographics
+        groups.setdefault(gender.lower(), []).append(profile.student_index)
+        groups.setdefault(race.lower(), []).append(profile.student_index)
     return groups
 
 
@@ -737,12 +726,12 @@ def evaluate_run(
     identical bytes.
     """
     run_path = Path(run_dir)
-    manifest = _read_json(run_path / MANIFEST_NAME)
+    manifest = _read_json(run_path / MANIFEST_NAME, "config", "manifest_hash", "mode")
     config = ExperimentConfig.from_mapping(manifest["config"])  # type: ignore[arg-type]
     if corpus_path is not None:
         config = replace(config, corpus_path=corpus_path)
     corpus = _load_run_corpus(config)
-    predictions_payload = _read_json(run_path / PREDICTIONS_NAME)
+    predictions_payload = _read_json(run_path / PREDICTIONS_NAME, "predictions")
     predictions: Dict[str, Optional[float]] = {
         str(k): (None if v is None else float(v))
         for k, v in predictions_payload["predictions"].items()
@@ -765,8 +754,10 @@ def evaluate_run(
         )
         evaluation["skill_correctness"] = skill_correctness(matrix)
         evaluation["distractor_match"] = asdict(distractor_match(responses, corpus))
-        rosters = _build_rosters(config, corpus)
-        groups = _demographic_groups(rosters)
+        roster = sample_classroom(
+            config.n_students, config.distribution(), config.strategy, config.seed
+        )
+        groups = _demographic_groups(roster)
         real_rates = _subgroup_real_rates(corpus)
         if groups and real_rates:
             subgroup = subgroup_correlations(matrix, groups, real_rates)
@@ -776,8 +767,8 @@ def evaluate_run(
             }
         fit_path = run_path / FIT_NAME
         if fit_path.exists():
-            fit = _read_json(fit_path)
             keep = ("beta", "converged", "iterations", "log_likelihood")
+            fit = _read_json(fit_path, *keep)
             evaluation["fit"] = {name: fit[name] for name in keep}
 
     _write_json(run_path / EVALUATION_JSON_NAME, evaluation)
@@ -822,7 +813,7 @@ def run_ensemble(
     sources: List[Dict[str, object]] = []
     prediction_sets: List[Dict[str, float]] = []
     for run_dir in run_dirs:
-        payload = _read_json(Path(run_dir) / PREDICTIONS_NAME)
+        payload = _read_json(Path(run_dir) / PREDICTIONS_NAME, "predictions")
         clean = {
             str(k): float(v)
             for k, v in payload["predictions"].items()
@@ -839,7 +830,7 @@ def run_ensemble(
         )
     combined = ensemble_predictions(prediction_sets, weights)
     if corpus_path is None:
-        manifest = _read_json(Path(run_dirs[0]) / MANIFEST_NAME)
+        manifest = _read_json(Path(run_dirs[0]) / MANIFEST_NAME, "config")
         corpus_path = str(manifest["config"]["corpus_path"])  # type: ignore[index]
     corpus = load_corpus(corpus_path)
     payload = {
@@ -884,8 +875,10 @@ def render_report(run_dir: Union[str, Path]) -> str:
     evaluation_path = run_path / EVALUATION_JSON_NAME
     if not evaluation_path.exists():
         evaluate_run(run_path)
-    evaluation = _read_json(evaluation_path)
-    manifest = _read_json(run_path / MANIFEST_NAME)
+    evaluation = _read_json(evaluation_path, "metrics")
+    manifest = _read_json(
+        run_path / MANIFEST_NAME, "config", "counts", "manifest_hash", "mode"
+    )
     config = manifest["config"]
     lines: List[str] = []
     lines.append(f"# Run report: {manifest['mode']}")

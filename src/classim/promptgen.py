@@ -181,14 +181,11 @@ def render_direct_percentage_prompt(
 def render_student_prompt(
     item: Item, profile: StudentProfile, templates: PromptTemplates
 ) -> RenderedPrompt:
-    """Role-play prompt for one (student, item) pair.
-
-    The persona's grade comes from the roster, the content area from the
-    item; under normal orchestration the two grades agree because rosters
-    are built per grade.
-    """
+    """Role-play prompt for one (student, item) pair: the persona's skill
+    and identity come from the profile, its grade and content area from
+    the item."""
     mapping = {
-        "{grade}": str(profile.grade),
+        "{grade}": str(item.grade),
         "{skill level}": profile.skill.display_name,
         "{content area of problem}": item.content_area.display_name,
         "{Definition of skill level continues}": templates.skill_description(

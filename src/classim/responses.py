@@ -18,7 +18,8 @@ import os
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -188,18 +189,12 @@ class SimulatedResponse:
         return RequestKey(self.item_id, self.student_index, self.replicate)
 
 
-# The JSON types of a log record's fields, in field order; matched
-# exactly, so that true is not an int.
+# The JSON types of a log record's fields, in field order, read off
+# SimulatedResponse's hints; matched exactly, so that true is not an int.
 _MISSING = object()
 _RECORD_TYPES: Dict[str, Tuple[type, ...]] = {
-    "item_id": (str,),
-    "student_index": (int,),
-    "replicate": (int,),
-    "skill": (str,),
-    "raw": (str,),
-    "chosen": (str, type(None)),
-    "correct": (int,),
-    "parse_status": (str,),
+    name: get_args(hint) if get_origin(hint) is Union else (hint,)
+    for name, hint in get_type_hints(SimulatedResponse).items()
 }
 # Every valid row of field types, so a good record costs one set lookup.
 _RECORD_ROWS = set(itertools.product(*_RECORD_TYPES.values()))

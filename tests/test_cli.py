@@ -1,8 +1,10 @@
 import json
+import re
 from dataclasses import fields
 
 import pytest
 
+from classim import orchestrator
 from classim.cli import build_parser, main
 from classim.orchestrator import ExperimentConfig
 from classim.gateway import MockStudentModel
@@ -287,6 +289,103 @@ def test_malformed_log_record_is_a_one_line_error(
     assert rc == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"{log}:3:" in err and "student_index" in err
+
+
+def _drop(field):
+    def edit(text):
+        payload = json.loads(text)
+        del payload[field]
+        return json.dumps(payload)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "command, name, edit, named",
+    [
+        ("evaluate", "fit.json", _drop("beta"), "missing field 'beta'"),
+        ("evaluate", "fit.json", lambda text: "[]", "must hold a JSON object"),
+        ("evaluate", "predictions.json", _drop("predictions"), "'predictions'"),
+        ("evaluate", "predictions.json", lambda text: text.replace('"', "", 1),
+         "invalid JSON at line 2, column 3"),
+        ("evaluate", "manifest.json", _drop("config"), "missing field 'config'"),
+        ("report", "evaluation.json", lambda text: "[]", "must hold a JSON object"),
+        ("ensemble", "predictions.json", _drop("predictions"), "'predictions'"),
+        ("simulate", "manifest.json", lambda text: "[]", "must hold a JSON object"),
+    ],
+    ids=[
+        "fit-field", "fit-list", "predictions-field", "predictions-json",
+        "manifest-field", "report-evaluation", "ensemble-predictions", "resume-manifest",
+    ],
+)
+def test_unreadable_run_file_is_a_one_line_error(
+    command, name, edit, named, corpus_path, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    argv = ["simulate", "--corpus", corpus_path, "--mock", "--n", "10", "--out", str(out)]
+    assert run_cli(*argv) == 0
+    assert run_cli("evaluate", "--run", str(out)) == 0
+    path = out / name
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    capsys.readouterr()
+    rc = run_cli(
+        *{
+            "evaluate": ["evaluate", "--run", str(out)],
+            "report": ["report", "--run", str(out)],
+            "ensemble": ["ensemble", "--runs", str(out)],
+            "simulate": argv,
+        }[command]
+    )
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert named in err
+
+
+def test_one_classroom_answers_every_grade(tmp_path, capsys, monkeypatch):
+    grades = (4, 8, 12)
+    records = [
+        make_item_record(i, grade=grade, with_subgroups=True)
+        for grade in grades
+        for i in range(4)
+    ]
+    corpus = write_corpus(tmp_path / "c.json", records)
+    out = tmp_path / "run"
+    n = 10
+    rc = run_cli(
+        "simulate", "--corpus", corpus, "--mock", "--strategy", "diverse",
+        "--capture", "--n", str(n), "--out", str(out),
+    )
+    assert rc == 0
+    grade_of = {record["item_id"]: record["grade"] for record in records}
+    names = {}
+    captured = (out / "capture.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(captured) == n * len(records)
+    for line in captured:
+        capture = json.loads(line)
+        assert f"in the {grade_of[capture['item_id']]}th grade" in capture["system"]
+        name = re.search(r"You are (\w+), a student", capture["system"]).group(1)
+        names.setdefault(capture["student_index"], set()).add(name)
+    assert sorted(names) == list(range(n))
+    assert all(len(student_names) == 1 for student_names in names.values())
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["counts"]["students"] == n * len(grades)
+
+    groups_seen = []
+    subgroup_correlations = orchestrator.subgroup_correlations
+
+    def spy(matrix, groups, real_rates):
+        groups_seen.append(groups)
+        return subgroup_correlations(matrix, groups, real_rates)
+
+    monkeypatch.setattr(orchestrator, "subgroup_correlations", spy)
+    assert run_cli("evaluate", "--run", str(out)) == 0
+    [groups] = groups_seen
+    for labels in (("female", "male"), ("asian", "black", "hispanic", "white")):
+        members = [k for label in labels for k in groups[label]]
+        assert sorted(members) == list(range(n))
+    evaluation = json.loads((out / "evaluation.json").read_text(encoding="utf-8"))
+    assert set(evaluation["subgroup_correlations"]) == {"female", "male"}
 
 
 @pytest.fixture(scope="module")

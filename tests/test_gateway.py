@@ -25,7 +25,7 @@ from classim.promptgen import (
     render_knowledge_prompt,
     render_student_prompt,
 )
-from classim.classroom import NoIdentifier, SkillDistribution, sample_classroom
+from classim.classroom import SkillDistribution, sample_classroom
 from classim.responses import parse_answer, parse_percentage
 from conftest import make_item_record, write_corpus
 
@@ -282,9 +282,7 @@ def mock_world(tmp_path):
     path = write_corpus(tmp_path / "c.json", records)
     corpus = load_corpus(path)
     templates = PromptTemplates.load()
-    roster = sample_classroom(
-        12, 8, SkillDistribution.default(), NoIdentifier(), seed=3
-    )
+    roster = sample_classroom(12, SkillDistribution.default(), "none", seed=3)
     return corpus, templates, roster
 
 

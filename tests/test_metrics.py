@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from classim.classroom import (
-    DiverseNames,
-    SkillDistribution,
-    load_name_pool,
-    sample_classroom,
-)
+from classim.classroom import SkillDistribution, sample_classroom
 from classim.corpus import parse_corpus_records
 from classim import metrics
 from classim.metrics import (
@@ -491,10 +486,7 @@ class TestEnsemble:
 
 def test_subgroup_wiring_with_diverse_roster():
     # smoke the pieces used together: roster demographics to index groups
-    pool = load_name_pool()
-    roster = sample_classroom(
-        16, 8, SkillDistribution.default(), DiverseNames(pool), seed=5
-    )
+    roster = sample_classroom(16, SkillDistribution.default(), "diverse", seed=5)
     groups = {}
     for profile in roster:
         gender, _ = profile.name_demographics

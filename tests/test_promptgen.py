@@ -1,12 +1,7 @@
 import pytest
 
 from classim.classroom import (
-    DiverseNames,
-    NoIdentifier,
-    SingleName,
     SkillDistribution,
-    StudentIds,
-    load_name_pool,
     sample_classroom,
 )
 from classim.corpus import load_corpus
@@ -46,8 +41,8 @@ def templates():
     return PromptTemplates.load()
 
 
-def roster_one(strategy, seed=11, grade=4):
-    return sample_classroom(8, grade, SkillDistribution.default(), strategy, seed)[0]
+def roster_one(strategy, seed=11):
+    return sample_classroom(8, SkillDistribution.default(), strategy, seed)[0]
 
 
 def assert_no_leftover_slots(text):
@@ -87,7 +82,7 @@ def test_percentage_prompt_uses_item_grade(item, templates):
 
 
 def test_student_prompt_anonymous(item, templates):
-    profile = roster_one(NoIdentifier())
+    profile = roster_one("none")
     prompt = render_student_prompt(item, profile, templates)
     assert prompt.kind is PromptKind.STUDENT
     assert profile.skill.display_name in prompt.system
@@ -99,16 +94,14 @@ def test_student_prompt_anonymous(item, templates):
 
 
 def test_student_prompt_carries_skill_description(item, templates):
-    for profile in sample_classroom(
-        8, 4, SkillDistribution.default(), NoIdentifier(), 2
-    ):
+    for profile in sample_classroom(8, SkillDistribution.default(), "none", 2):
         prompt = render_student_prompt(item, profile, templates)
         description = templates.skill_description(profile.skill)
         assert description in prompt.system
 
 
 def test_student_prompt_with_id(item, templates):
-    profile = roster_one(StudentIds())
+    profile = roster_one("ids")
     prompt = render_student_prompt(item, profile, templates)
     assert profile.identity in prompt.system
     assert profile.identity.startswith("STU")
@@ -116,23 +109,21 @@ def test_student_prompt_with_id(item, templates):
 
 
 def test_student_prompt_with_single_name(item, templates):
-    profile = roster_one(SingleName("Marisol"))
+    profile = roster_one("single:Marisol")
     prompt = render_student_prompt(item, profile, templates)
     assert "Marisol" in prompt.system
     assert_no_leftover_slots(prompt.system)
 
 
 def test_student_prompt_with_diverse_name(item, templates):
-    profile = roster_one(DiverseNames(load_name_pool()))
+    profile = roster_one("diverse")
     prompt = render_student_prompt(item, profile, templates)
     assert profile.identity in prompt.system
     assert_no_leftover_slots(prompt.system)
 
 
 def test_identity_is_the_only_difference_between_students(item, templates):
-    roster = sample_classroom(
-        16, 4, SkillDistribution.default(), DiverseNames(load_name_pool()), 7
-    )
+    roster = sample_classroom(16, SkillDistribution.default(), "diverse", 7)
     same_skill = [p for p in roster if p.skill == roster[0].skill][:2]
     a = render_student_prompt(item, same_skill[0], templates)
     b = render_student_prompt(item, same_skill[1], templates)
@@ -142,7 +133,7 @@ def test_identity_is_the_only_difference_between_students(item, templates):
 
 
 def test_rendering_is_pure(item, templates):
-    profile = roster_one(StudentIds())
+    profile = roster_one("ids")
     first = render_student_prompt(item, profile, templates)
     second = render_student_prompt(item, profile, templates)
     assert first == second
@@ -167,12 +158,12 @@ def test_unfilled_slot_detected(item, templates):
     texts = dict(templates.texts)
     texts["system_student.txt"] += "\nSigned, [NAME]"
     override = PromptTemplates(texts=texts)
-    profile = roster_one(NoIdentifier())
+    profile = roster_one("none")
     with pytest.raises(PromptError):
         render_student_prompt(item, profile, override)
 
 
 def test_json_braces_in_user_template_survive(item, templates):
-    profile = roster_one(NoIdentifier())
+    profile = roster_one("none")
     prompt = render_student_prompt(item, profile, templates)
     assert '{"reasoning"' in prompt.user
