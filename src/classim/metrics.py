@@ -18,9 +18,11 @@ from scipy.special import stdtr
 
 from .corpus import Corpus
 from .responses import ParseStatus, ResponseMatrix, SimulatedResponse
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, derive_seed, splitmix64_block
 
 PERMUTATION_ROUNDS = 10000  # shuffles behind every permutation p-value
+_BLOCK_ROUNDS = 1024  # rounds computed together; bounds the temporaries
+_RECHECK = 1e-9  # |r| this close to the hit threshold is decided by _pearson_r
 
 
 @dataclass(frozen=True)
@@ -92,25 +94,62 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     return CorrelationResult(r=r, p_value=_t_pvalue(r, len(ax)), n=len(ax))
 
 
-def permutation_pvalue(
-    x: Sequence[float], y: Sequence[float], seed: int
-) -> Tuple[float, float]:
-    """Two-sided Monte Carlo permutation p for Pearson and Spearman.
+def _round_shuffles(seed: int, n: int, first: int, count: int) -> Optional[np.ndarray]:
+    """What ``SplitMix64(seed).shuffle`` does in rounds ``first`` .. ``first + count - 1``.
 
-    The t approximation is shaky below a dozen points; this shuffles the
-    positions of one series and counts permutations at least as extreme
-    as what was seen. One stream of shuffles serves both correlations:
-    each round indexes the values and their average ranks with the same
-    order. Add-one smoothing keeps the estimate away from an impossible
-    zero. Returns ``(pearson_p, spearman_p)``.
+    Row k is the order that round ``first + k`` alone makes of
+    ``range(n)``, taken from the stream's draws in numpy: each round
+    takes n - 1 of them, and swap i's target is ``u % (i + 1)``. None if
+    one of those draws is past its ``randrange`` rejection limit, since
+    the scalar stream would then draw again and shift every later round.
     """
-    ax, ay = _as_float_arrays(x, y)
-    pairs = ((ax, ay), (average_ranks(ax), average_ranks(ay)))
-    observed = [abs(_pearson_r(left, right)) for left, right in pairs]
-    if all(math.isnan(seen) for seen in observed):
-        return float("nan"), float("nan")
-    rng = SplitMix64(derive_seed(seed, "permutation"))
-    order = list(range(len(ay)))
+    bounds = range(n, 1, -1)
+    draws = splitmix64_block(seed, first * (n - 1), count * (n - 1)).reshape(count, n - 1)
+    limits = np.array([(1 << 64) - 1 - (1 << 64) % b for b in bounds], dtype=np.uint64)
+    if (draws > limits).any():
+        return None
+    draws %= np.array(bounds, dtype=np.uint64)
+    targets = draws.view(np.int64)
+    rows = np.arange(count)
+    orders = np.tile(np.arange(n), (count, 1))
+    for t, i in enumerate(range(n - 1, 0, -1)):
+        j = targets[:, t]
+        held = orders[:, i].copy()
+        orders[:, i] = orders[rows, j]
+        orders[rows, j] = held
+    return orders
+
+
+def _block_hits(left: np.ndarray, right: np.ndarray, threshold: float) -> int:
+    """Rows of ``right`` whose |r| with ``left`` reaches ``threshold``.
+
+    Every row's r comes from one array pass. Its arithmetic may round
+    differently from ``_pearson_r``'s (BLAS sums in its own order), so a
+    row within ``_RECHECK`` of the threshold, or with no r, is decided by
+    ``_pearson_r`` itself.
+    """
+    dx = left - left.mean()
+    dy = right - right.mean(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.abs(
+            np.einsum("ij,j->i", dy, dx)
+            / np.sqrt(float(dx @ dx) * np.einsum("ij,ij->i", dy, dy))
+        )
+    clear = np.abs(r - threshold) > _RECHECK
+    hits = int((clear & (r >= threshold)).sum())
+    for row in right[~clear]:
+        seen = _pearson_r(left, row)
+        if not math.isnan(seen) and abs(seen) >= threshold:
+            hits += 1
+    return hits
+
+
+def _scalar_hits(
+    pairs: Sequence[Tuple[np.ndarray, np.ndarray]], observed: List[float], seed: int
+) -> List[int]:
+    """Hits per pair, one ``SplitMix64.shuffle`` and one r at a time."""
+    rng = SplitMix64(seed)
+    order = list(range(len(pairs[0][1])))
     hits = [0, 0]
     for _ in range(PERMUTATION_ROUNDS):
         rng.shuffle(order)
@@ -119,6 +158,56 @@ def permutation_pvalue(
             r = _pearson_r(left, right[index])
             if not math.isnan(r) and abs(r) >= observed[k] - 1e-15:
                 hits[k] += 1
+    return hits
+
+
+def permutation_pvalue(
+    x: Sequence[float], y: Sequence[float], seed: int
+) -> Tuple[float, float]:
+    """Two-sided Monte Carlo permutation p for Pearson and Spearman.
+
+    The t approximation is shaky below a dozen points; this shuffles the
+    positions of one series ``PERMUTATION_ROUNDS`` times and counts the
+    rounds at least as extreme as what was seen. One stream of shuffles
+    serves both correlations: each round indexes the values and their
+    average ranks with the same order. Add-one smoothing keeps the
+    estimate away from an impossible zero. Returns
+    ``(pearson_p, spearman_p)``.
+
+    The rounds are the ``SplitMix64.shuffle`` stream, computed in numpy
+    ``_BLOCK_ROUNDS`` at a time: the block's draws give each round's own
+    order, a doubling scan compounds them (each round shuffles the one
+    before), and the previous block's last order is composed in front.
+    Every round's r then comes from one array pass, and a round whose r
+    lies within ``_RECHECK`` of the hit threshold is decided by
+    ``_pearson_r`` itself, so the p-values are bit for bit those of the
+    scalar loop. If a draw would be rejected by ``randrange`` (odds about
+    n in 2**64), the whole call runs the scalar loop instead.
+    """
+    ax, ay = _as_float_arrays(x, y)
+    pairs = ((ax, ay), (average_ranks(ax), average_ranks(ay)))
+    observed = [abs(_pearson_r(left, right)) for left, right in pairs]
+    if all(math.isnan(seen) for seen in observed):
+        return float("nan"), float("nan")
+    stream = derive_seed(seed, "permutation")
+    n = len(ay)
+    carry = np.arange(n)
+    hits = [0, 0]
+    for first in range(0, PERMUTATION_ROUNDS, _BLOCK_ROUNDS):
+        size = min(_BLOCK_ROUNDS, PERMUTATION_ROUNDS - first)
+        orders = _round_shuffles(stream, n, first, size)
+        if orders is None:
+            hits = _scalar_hits(pairs, observed, stream)
+            break
+        step = 1
+        while step < size:
+            orders[step:] = np.take_along_axis(orders[:-step], orders[step:], axis=1)
+            step *= 2
+        orders = carry[orders]
+        carry = orders[-1]
+        for k, (left, right) in enumerate(pairs):
+            if not math.isnan(observed[k]):
+                hits[k] += _block_hits(left, right[orders], observed[k] - 1e-15)
     pearson_p, spearman_p = (
         float("nan") if math.isnan(seen) else (1 + count) / (1 + PERMUTATION_ROUNDS)
         for seen, count in zip(observed, hits)

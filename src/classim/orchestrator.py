@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from typing import get_args, get_origin, get_type_hints
@@ -180,6 +180,13 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        missing = sorted(
+            spec.name
+            for spec in cls.__dataclass_fields__.values()
+            if spec.default is MISSING and spec.default_factory is MISSING and spec.name not in raw
+        )
+        if missing:
+            raise ValueError(f"missing config fields: {missing}")
         return cls(**raw)  # type: ignore[arg-type]
 
 
@@ -291,6 +298,30 @@ def _read_json(path: Path, *fields: str) -> Dict[str, object]:
     for name in fields:
         if name not in payload:
             raise ValueError(f"{path}: missing field {name!r}")
+    return payload
+
+
+def _run_config(path: Path, manifest: Mapping[str, object]) -> ExperimentConfig:
+    """The ``config`` of the manifest read from ``path``; a ValueError
+    naming the file unless it is a valid configuration."""
+    raw = manifest["config"]
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: field 'config' must be a JSON object")
+    try:
+        return ExperimentConfig.from_mapping(raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: field 'config': {exc}") from None
+
+
+def _read_predictions(path: Path) -> Dict[str, object]:
+    """``predictions.json`` at ``path``; a ValueError naming the file unless
+    its ``predictions`` maps item ids to numbers or null."""
+    payload = _read_json(path, "predictions")
+    predictions = payload["predictions"]
+    if not isinstance(predictions, dict) or not all(
+        value is None or isinstance(value, (int, float)) for value in predictions.values()
+    ):
+        raise ValueError(f"{path}: field 'predictions' must map item ids to numbers or null")
     return payload
 
 
@@ -726,12 +757,13 @@ def evaluate_run(
     identical bytes.
     """
     run_path = Path(run_dir)
-    manifest = _read_json(run_path / MANIFEST_NAME, "config", "manifest_hash", "mode")
-    config = ExperimentConfig.from_mapping(manifest["config"])  # type: ignore[arg-type]
+    manifest_path = run_path / MANIFEST_NAME
+    manifest = _read_json(manifest_path, "config", "manifest_hash", "mode")
+    config = _run_config(manifest_path, manifest)
     if corpus_path is not None:
         config = replace(config, corpus_path=corpus_path)
     corpus = _load_run_corpus(config)
-    predictions_payload = _read_json(run_path / PREDICTIONS_NAME, "predictions")
+    predictions_payload = _read_predictions(run_path / PREDICTIONS_NAME)
     predictions: Dict[str, Optional[float]] = {
         str(k): (None if v is None else float(v))
         for k, v in predictions_payload["predictions"].items()
@@ -813,7 +845,7 @@ def run_ensemble(
     sources: List[Dict[str, object]] = []
     prediction_sets: List[Dict[str, float]] = []
     for run_dir in run_dirs:
-        payload = _read_json(Path(run_dir) / PREDICTIONS_NAME, "predictions")
+        payload = _read_predictions(Path(run_dir) / PREDICTIONS_NAME)
         clean = {
             str(k): float(v)
             for k, v in payload["predictions"].items()
@@ -830,8 +862,8 @@ def run_ensemble(
         )
     combined = ensemble_predictions(prediction_sets, weights)
     if corpus_path is None:
-        manifest = _read_json(Path(run_dirs[0]) / MANIFEST_NAME, "config")
-        corpus_path = str(manifest["config"]["corpus_path"])  # type: ignore[index]
+        manifest_path = Path(run_dirs[0]) / MANIFEST_NAME
+        corpus_path = _run_config(manifest_path, _read_json(manifest_path, "config")).corpus_path
     corpus = load_corpus(corpus_path)
     payload = {
         "sources": sources,
@@ -876,18 +908,17 @@ def render_report(run_dir: Union[str, Path]) -> str:
     if not evaluation_path.exists():
         evaluate_run(run_path)
     evaluation = _read_json(evaluation_path, "metrics")
-    manifest = _read_json(
-        run_path / MANIFEST_NAME, "config", "counts", "manifest_hash", "mode"
-    )
-    config = manifest["config"]
+    manifest_path = run_path / MANIFEST_NAME
+    manifest = _read_json(manifest_path, "config", "counts", "manifest_hash", "mode")
+    config = _run_config(manifest_path, manifest)
     lines: List[str] = []
     lines.append(f"# Run report: {manifest['mode']}")
     lines.append("")
     lines.append(f"- manifest hash: `{manifest['manifest_hash']}`")
-    lines.append(f"- model: {config['model']}  mock: {config['mock']}")
+    lines.append(f"- model: {config.model}  mock: {config.mock}")
     lines.append(
-        f"- grade: {config['grade']}  students: {config['n_students']}  "
-        f"strategy: {config['strategy']}  seed: {config['seed']}"
+        f"- grade: {config.grade}  students: {config.n_students}  "
+        f"strategy: {config.strategy}  seed: {config.seed}"
     )
     counts = manifest["counts"]
     lines.append(

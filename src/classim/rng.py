@@ -10,15 +10,19 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def mix64(value: int) -> int:
     """One splitmix64 output step applied to ``value``; stateless."""
     z = (value + _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
 
 
@@ -34,6 +38,26 @@ def derive_seed(seed: int, *parts: object) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def splitmix64_block(seed: int, start: int, count: int) -> np.ndarray:
+    """Draws ``start`` .. ``start + count - 1`` of ``SplitMix64(seed)`` as uint64.
+
+    The stream's state after k draws is ``seed + k * GOLDEN`` (mod 2**64),
+    so any stretch of it is one array of states put through the mix.
+    Every constant is a ``np.uint64``: under NumPy 1.x a uint64 scalar
+    combined with a Python int promotes to float64.
+    """
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(seed & _MASK64)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+    return z
+
+
 class SplitMix64:
     """Sequential splitmix64 stream."""
 
@@ -43,8 +67,8 @@ class SplitMix64:
     def next_u64(self) -> int:
         self.state = (self.state + _GOLDEN) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return (z ^ (z >> 31)) & _MASK64
 
     def next_float(self) -> float:

@@ -300,6 +300,13 @@ def _drop(field):
     return edit
 
 
+def _set(field, value):
+    def edit(text):
+        return json.dumps({**json.loads(text), field: value})
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "command, name, edit, named",
     [
@@ -312,10 +319,21 @@ def _drop(field):
         ("report", "evaluation.json", lambda text: "[]", "must hold a JSON object"),
         ("ensemble", "predictions.json", _drop("predictions"), "'predictions'"),
         ("simulate", "manifest.json", lambda text: "[]", "must hold a JSON object"),
+        ("evaluate", "manifest.json", _set("config", {}), "missing config fields: ['corpus_path']"),
+        ("evaluate", "manifest.json", _set("config", 5), "'config' must be a JSON object"),
+        ("evaluate", "predictions.json", _set("predictions", []), "'predictions' must map"),
+        ("evaluate", "predictions.json", _set("predictions", {"g8-0000": "x"}),
+         "'predictions' must map"),
+        ("ensemble", "predictions.json", _set("predictions", []), "'predictions' must map"),
+        ("ensemble", "manifest.json", _set("config", {}), "missing config fields"),
+        ("report", "manifest.json", _set("config", []), "'config' must be a JSON object"),
     ],
     ids=[
         "fit-field", "fit-list", "predictions-field", "predictions-json",
         "manifest-field", "report-evaluation", "ensemble-predictions", "resume-manifest",
+        "manifest-config-empty", "manifest-config-number", "predictions-list",
+        "predictions-value", "ensemble-predictions-list", "ensemble-config-empty",
+        "report-config-list",
     ],
 )
 def test_unreadable_run_file_is_a_one_line_error(

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -222,6 +223,68 @@ class TestPermutation:
         y = [0.3, 0.4, 0.6, 0.8, 0.2, 0.6, 0.4, 0.5]
         pair = permutation_pvalue(x, y, seed=7)
         assert pair == reference_pair(x, y, 7, PERMUTATION_ROUNDS)
+
+    def test_rounds_across_blocks_match_the_scalar_reference(self, monkeypatch):
+        # 2,500 rounds end mid-block, so every block but the first starts
+        # from the order the one before it left behind.
+        rounds = 2500
+        monkeypatch.setattr(metrics, "PERMUTATION_ROUNDS", rounds)
+        rng = np.random.default_rng(5)
+        for n in range(3, 10):
+            x = [float(v) for v in rng.integers(0, 3, size=n)]
+            y = [round(float(v), 1) for v in rng.random(n)]
+            pair = permutation_pvalue(x, y, seed=n)
+            assert same_floats(pair, reference_pair(x, y, n, rounds)), (x, y)
+
+    def test_a_round_at_the_threshold_matches_the_scalar_reference(self):
+        # Swapping the first two y values gives an r about 1e-15 below the
+        # observed one, where the batched sums and _pearson_r's round to
+        # opposite sides of the hit threshold; seed 2 draws that order.
+        x = [0.3, 0.4, 0.5, 0.6000000000000001, 0.7, 0.8, 0.9000000000000001, 1.0]
+        y = [0.05, 0.050000000000008066, 0.3071428571428571, 0.43571428571428567,
+             0.5642857142857143, 0.6928571428571428, 0.8214285714285714, 0.95]
+        pair = permutation_pvalue(x, y, seed=2)
+        assert pair == reference_pair(x, y, 2, PERMUTATION_ROUNDS)
+
+    def test_a_rejected_draw_falls_back_to_the_scalar_stream(self, monkeypatch):
+        rounds = 2500
+        monkeypatch.setattr(metrics, "PERMUTATION_ROUNDS", rounds)
+        draw_block = metrics.splitmix64_block
+
+        def rejecting(seed, start, count):
+            draws = draw_block(seed, start, count)
+            if start > 0:
+                # the first draw of a round is for randrange(5), whose
+                # rejection limit is 2**64 - 2
+                draws[0] = np.uint64(2**64 - 1)
+            return draws
+
+        fallbacks = []
+        scalar_hits = metrics._scalar_hits
+
+        def recording(*args):
+            fallbacks.append(args)
+            return scalar_hits(*args)
+
+        monkeypatch.setattr(metrics, "splitmix64_block", rejecting)
+        monkeypatch.setattr(metrics, "_scalar_hits", recording)
+        x = [0.2, 0.5, 0.5, 0.9, 0.1]
+        y = [0.3, 0.4, 0.6, 0.8, 0.4]
+        pair = permutation_pvalue(x, y, seed=11)
+        assert len(fallbacks) == 1
+        assert pair == reference_pair(x, y, 11, rounds)
+
+    def test_no_runtime_warnings(self):
+        cases = [
+            ([0.2, 0.5, 0.5, 0.9, 0.1, 0.7, 0.3, 0.5], [0.3, 0.4, 0.6, 0.8, 0.2, 0.6, 0.4, 0.5]),
+            ([1.0, 1.0, 2.0], [2.0, 2.0, 1.0]),
+            ([0.1, 0.4, 0.3, 0.2], [0.25] * 4),
+            ([0.25] * 4, [0.1, 0.4, 0.3, 0.2]),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, y in cases:
+                permutation_pvalue(x, y, seed=0)
 
 
 class TestAuc:

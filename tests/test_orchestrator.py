@@ -11,6 +11,7 @@ import pytest
 from classim.cli import _base_mapping, build_parser
 from classim.corpus import load_corpus
 from classim.gateway import MockStudentModel, TransientBackendError
+from classim import metrics
 from classim.metrics import PERMUTATION_ROUNDS
 from classim.orchestrator import (
     CAPTURE_NAME,
@@ -35,7 +36,7 @@ from classim.orchestrator import (
     _FIELD_TYPES,
 )
 from classim.promptgen import PromptTemplates
-from classim.rng import SplitMix64, derive_seed, mix64
+from classim.rng import derive_seed, mix64
 
 from conftest import make_item_record, write_corpus
 
@@ -703,19 +704,23 @@ class TestEvaluate:
         assert evaluation["metrics"]["n_items"] == N_ITEMS
 
     def test_one_shuffle_stream_serves_both_correlations(self, world, monkeypatch):
-        shuffles = []
-        shuffle = SplitMix64.shuffle
+        blocks = []
+        round_shuffles = metrics._round_shuffles
 
-        def counting(self, items):
-            shuffles.append(len(items))
-            shuffle(self, items)
+        def recording(seed, n, first, count):
+            blocks.append((seed, n, first, count))
+            return round_shuffles(seed, n, first, count)
 
-        monkeypatch.setattr(SplitMix64, "shuffle", counting)
+        monkeypatch.setattr(metrics, "_round_shuffles", recording)
         corpus = load_corpus(world["corpus_path"])
         predictions = {item.item_id: 0.1 * (k % 5) for k, item in enumerate(corpus)}
-        metrics = evaluate_predictions(predictions, corpus, seed=3)
-        assert metrics["pearson"]["p_method"] == "permutation"
-        assert shuffles == [N_ITEMS] * PERMUTATION_ROUNDS
+        result = evaluate_predictions(predictions, corpus, seed=3)
+        assert result["pearson"]["p_method"] == "permutation"
+        assert {(seed, n) for seed, n, _, _ in blocks} == {
+            (derive_seed(3, "permutation"), N_ITEMS)
+        }
+        rounds = [r for _, _, first, count in blocks for r in range(first, first + count)]
+        assert rounds == list(range(PERMUTATION_ROUNDS))
 
     def test_needs_three_predictions(self, world):
         corpus = load_corpus(world["corpus_path"])

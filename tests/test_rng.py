@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from classim.rng import SplitMix64, derive_seed, mix64, normal_pair
+from classim.rng import SplitMix64, derive_seed, mix64, normal_pair, splitmix64_block
 
 
 def test_mix64_is_deterministic_and_64_bit():
@@ -31,6 +31,15 @@ def test_stream_reproducibility():
     a = SplitMix64(99)
     b = SplitMix64(99)
     assert [a.next_u64() for _ in range(50)] == [b.next_u64() for _ in range(50)]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, derive_seed(7, "permutation")])
+def test_block_draws_follow_the_scalar_stream(seed):
+    rng = SplitMix64(seed)
+    scalar = [rng.next_u64() for _ in range(100)]
+    block = splitmix64_block(seed, 37, 63)
+    assert block.dtype == "uint64"
+    assert [int(u) for u in block] == scalar[37:]
 
 
 def test_float_range_and_spread():
