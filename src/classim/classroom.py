@@ -10,6 +10,7 @@ according to the identity strategy, a spec string whose kind is one of
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -52,8 +53,8 @@ class SkillDistribution:
     def __post_init__(self):
         if set(self.weights) != set(SKILL_ORDER):
             raise ValueError("distribution must cover exactly the four skill levels")
-        if any(w < 0 for w in self.weights.values()):
-            raise ValueError("skill weights must be non-negative")
+        if not all(math.isfinite(w) and w >= 0 for w in self.weights.values()):
+            raise ValueError("skill weights must be finite and non-negative")
         total = sum(self.weights.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"skill weights must sum to 1 (got {total!r})")

@@ -138,6 +138,11 @@ def _require(record: dict, item_id: str, field_name: str):
     return record[field_name]
 
 
+def _is_number(value: object) -> bool:
+    # JSON's true and false are no numbers, though bool is an int subclass
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _validate_item(record: dict) -> Item:
     if not isinstance(record, dict):
         raise CorpusValidationError("<unknown>", "record", "item record must be an object")
@@ -191,7 +196,7 @@ def _validate_item(record: dict) -> Item:
         )
 
     rate = _require(record, item_id, "real_percent_correct")
-    if not isinstance(rate, (int, float)) or not (0.0 <= float(rate) <= 1.0):
+    if not _is_number(rate) or not (0.0 <= float(rate) <= 1.0):
         raise CorpusValidationError(
             item_id, "real_percent_correct", f"must be a fraction in [0,1], got {rate!r}"
         )
@@ -211,11 +216,11 @@ def _validate_item(record: dict) -> Item:
             raise CorpusValidationError(
                 item_id, "real_choice_distribution", f"missing correct key {correct_key!r}"
             )
+        for letter, share in distribution.items():
+            if not _is_number(share) or share < 0.0:
+                message = f"share of {letter!r} must be a non-negative number, got {share!r}"
+                raise CorpusValidationError(item_id, "real_choice_distribution", message)
         values = {k: float(v) for k, v in distribution.items()}
-        if any(v < 0.0 for v in values.values()):
-            raise CorpusValidationError(
-                item_id, "real_choice_distribution", "fractions must be non-negative"
-            )
         total = sum(values.values())
         # NAEP tables round per-choice fractions; absorb that, reject worse.
         if not (0.99 <= total <= 1.01):
@@ -233,7 +238,7 @@ def _validate_item(record: dict) -> Item:
                 item_id, "real_subgroup_percent_correct", "must be a name -> fraction map"
             )
         for name, value in subgroups.items():
-            if not isinstance(value, (int, float)) or not (0.0 <= float(value) <= 1.0):
+            if not _is_number(value) or not (0.0 <= float(value) <= 1.0):
                 raise CorpusValidationError(
                     item_id,
                     "real_subgroup_percent_correct",

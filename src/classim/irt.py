@@ -69,14 +69,8 @@ class SufficientStats:
         present = set(matrix.skills)
         labels = [label for label in canonical if label in present]
         labels += sorted(present - set(canonical))
-        index = {label: g for g, label in enumerate(labels)}
-        n = np.zeros((len(labels), matrix.n_items), dtype=float)
-        s = np.zeros((len(labels), matrix.n_items), dtype=float)
-        for i, skill in enumerate(matrix.skills):
-            g = index[skill]
-            row_mask = matrix.mask[i]
-            n[g] += row_mask
-            s[g] += np.where(row_mask, matrix.data[i], 0)
+        members = np.array(labels, dtype=str)[:, None] == np.array(matrix.skills, dtype=str)
+        n, s = matrix.group_counts(members)
         return cls(
             group_labels=tuple(labels),
             item_ids=matrix.item_ids,
@@ -99,6 +93,13 @@ def gradients(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact first derivatives of the penalized objective."""
     p = rasch_probability(beta[:, None], delta[None, :])
+    return _gradients_at(p, beta, delta, stats, ridge)
+
+
+def _gradients_at(
+    p: np.ndarray, beta: np.ndarray, delta: np.ndarray, stats: SufficientStats, ridge: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``gradients`` from ``p``, the probability table at (beta, delta)."""
     expected = stats.n * p
     grad_beta = (stats.s - expected).sum(axis=1) - ridge * beta
     grad_delta = (expected - stats.s).sum(axis=0) - ridge * delta
@@ -162,18 +163,19 @@ def fit_rasch(matrix: ResponseMatrix) -> FitResult:
         raise ValueError("cannot fit an empty response matrix")
 
     beta, delta = _initial_values(stats)
+    p = rasch_probability(beta[:, None], delta[None, :])
+    grad_b, _ = _gradients_at(p, beta, delta, stats, RIDGE)
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
-        p = rasch_probability(beta[:, None], delta[None, :])
+        # p and grad_b are at (beta, delta), from the last convergence check
         w = stats.n * p * (1.0 - p)
-        grad_b = (stats.s - stats.n * p).sum(axis=1) - RIDGE * beta
         step = grad_b / (w.sum(axis=1) + RIDGE)
         beta = beta + np.clip(step, -_STEP_CAP, _STEP_CAP)
 
         p = rasch_probability(beta[:, None], delta[None, :])
         w = stats.n * p * (1.0 - p)
-        grad_d = (stats.n * p - stats.s).sum(axis=0) - RIDGE * delta
+        _, grad_d = _gradients_at(p, beta, delta, stats, RIDGE)
         step = grad_d / (w.sum(axis=0) + RIDGE)
         delta = delta + np.clip(step, -_STEP_CAP, _STEP_CAP)
 
@@ -185,7 +187,8 @@ def fit_rasch(matrix: ResponseMatrix) -> FitResult:
         beta = beta - shift
         delta = delta - shift
 
-        grad_b, grad_d = gradients(beta, delta, stats, RIDGE)
+        p = rasch_probability(beta[:, None], delta[None, :])
+        grad_b, grad_d = _gradients_at(p, beta, delta, stats, RIDGE)
         worst = max(
             float(np.max(np.abs(grad_b))), float(np.max(np.abs(grad_d)))
         )

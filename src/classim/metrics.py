@@ -365,14 +365,13 @@ def distractor_match(
 
 def skill_correctness(matrix: ResponseMatrix) -> Dict[str, float]:
     """Observed fraction correct per skill label, over unmasked cells."""
-    rates: Dict[str, float] = {}
-    skills = np.asarray(matrix.skills)
-    for label in dict.fromkeys(matrix.skills):
-        rows = skills == label
-        observed = int(matrix.mask[rows].sum())
-        correct = int(np.where(matrix.mask[rows], matrix.data[rows], 0).sum())
-        rates[label] = correct / observed if observed else float("nan")
-    return rates
+    labels = list(dict.fromkeys(matrix.skills))
+    members = np.array(labels, dtype=str)[:, None] == np.array(matrix.skills, dtype=str)
+    observed, correct = (counts.sum(axis=1) for counts in matrix.group_counts(members))
+    return {
+        label: float(correct[g] / observed[g]) if observed[g] else float("nan")
+        for g, label in enumerate(labels)
+    }
 
 
 def subgroup_correlations(
@@ -387,23 +386,21 @@ def subgroup_correlations(
     rates. Items missing an observed rate for a label drop out of that
     label's correlation.
     """
-    row_of = {s: i for i, s in enumerate(matrix.student_indices)}
+    members = np.zeros((len(student_groups), matrix.n_students), dtype=bool)
+    for g, group in enumerate(student_groups.values()):
+        members[g] = np.isin(matrix.student_indices, group)
+    counts, sums = matrix.group_counts(members)
     results: Dict[str, CorrelationResult] = {}
-    for label, members in student_groups.items():
-        rows = [row_of[s] for s in members if s in row_of]
+    for g, label in enumerate(student_groups):
         observed = real_rates.get(label, {})
-        if not rows or not observed:
+        if not members[g].any() or not observed:
             continue
-        sub_mask = matrix.mask[rows]
-        sub_data = np.where(sub_mask, matrix.data[rows], 0)
-        counts = sub_mask.sum(axis=0)
-        sums = sub_data.sum(axis=0)
         sim: List[float] = []
         real: List[float] = []
         for j, item_id in enumerate(matrix.item_ids):
-            if counts[j] == 0 or item_id not in observed:
+            if counts[g, j] == 0 or item_id not in observed:
                 continue
-            sim.append(sums[j] / counts[j])
+            sim.append(sums[g, j] / counts[g, j])
             real.append(float(observed[item_id]))
         if len(sim) >= 3:
             results[label] = pearson(sim, real)
@@ -426,8 +423,8 @@ def ensemble_predictions(
         weights = [1.0] * len(predictions)
     if len(weights) != len(predictions):
         raise ValueError("one weight per prediction set is required")
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be non-negative")
+    if not all(math.isfinite(w) and w >= 0 for w in weights) or not any(weights):
+        raise ValueError(f"weights must be finite, non-negative and not all zero: {list(weights)}")
     combined: Dict[str, float] = {}
     item_ids: List[str] = []
     for source in predictions:

@@ -301,27 +301,35 @@ def _read_json(path: Path, *fields: str) -> Dict[str, object]:
     return payload
 
 
-def _run_config(path: Path, manifest: Mapping[str, object]) -> ExperimentConfig:
-    """The ``config`` of the manifest read from ``path``; a ValueError
-    naming the file unless it is a valid configuration."""
+def _read_manifest(run_path: Path, *fields: str) -> Tuple[Dict[str, object], ExperimentConfig]:
+    """A run's manifest and its configuration; a ValueError naming
+    ``manifest.json`` unless it holds ``config`` and each of ``fields``,
+    and ``config`` is a valid configuration."""
+    path = run_path / MANIFEST_NAME
+    manifest = _read_json(path, "config", *fields)
     raw = manifest["config"]
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: field 'config' must be a JSON object")
     try:
-        return ExperimentConfig.from_mapping(raw)
+        return manifest, ExperimentConfig.from_mapping(raw)
     except ValueError as exc:
         raise ValueError(f"{path}: field 'config': {exc}") from None
 
 
 def _read_predictions(path: Path) -> Dict[str, object]:
-    """``predictions.json`` at ``path``; a ValueError naming the file unless
-    its ``predictions`` maps item ids to numbers or null."""
+    """``predictions.json`` at ``path``, each prediction a float or None; a
+    ValueError naming the file unless its ``predictions`` maps item ids to
+    numbers or null."""
     payload = _read_json(path, "predictions")
     predictions = payload["predictions"]
     if not isinstance(predictions, dict) or not all(
         value is None or isinstance(value, (int, float)) for value in predictions.values()
     ):
         raise ValueError(f"{path}: field 'predictions' must map item ids to numbers or null")
+    payload["predictions"] = {
+        item_id: None if value is None else float(value)
+        for item_id, value in predictions.items()
+    }
     return payload
 
 
@@ -757,17 +765,12 @@ def evaluate_run(
     identical bytes.
     """
     run_path = Path(run_dir)
-    manifest_path = run_path / MANIFEST_NAME
-    manifest = _read_json(manifest_path, "config", "manifest_hash", "mode")
-    config = _run_config(manifest_path, manifest)
+    manifest, config = _read_manifest(run_path, "manifest_hash", "mode")
     if corpus_path is not None:
         config = replace(config, corpus_path=corpus_path)
     corpus = _load_run_corpus(config)
     predictions_payload = _read_predictions(run_path / PREDICTIONS_NAME)
-    predictions: Dict[str, Optional[float]] = {
-        str(k): (None if v is None else float(v))
-        for k, v in predictions_payload["predictions"].items()
-    }
+    predictions: Dict[str, Optional[float]] = predictions_payload["predictions"]
     evaluation: Dict[str, object] = {
         "manifest_hash": manifest["manifest_hash"],
         "mode": manifest["mode"],
@@ -846,11 +849,7 @@ def run_ensemble(
     prediction_sets: List[Dict[str, float]] = []
     for run_dir in run_dirs:
         payload = _read_predictions(Path(run_dir) / PREDICTIONS_NAME)
-        clean = {
-            str(k): float(v)
-            for k, v in payload["predictions"].items()
-            if v is not None
-        }
+        clean = {k: v for k, v in payload["predictions"].items() if v is not None}
         prediction_sets.append(clean)
         sources.append(
             {
@@ -862,8 +861,7 @@ def run_ensemble(
         )
     combined = ensemble_predictions(prediction_sets, weights)
     if corpus_path is None:
-        manifest_path = Path(run_dirs[0]) / MANIFEST_NAME
-        corpus_path = _run_config(manifest_path, _read_json(manifest_path, "config")).corpus_path
+        corpus_path = _read_manifest(Path(run_dirs[0]))[1].corpus_path
     corpus = load_corpus(corpus_path)
     payload = {
         "sources": sources,
@@ -908,9 +906,7 @@ def render_report(run_dir: Union[str, Path]) -> str:
     if not evaluation_path.exists():
         evaluate_run(run_path)
     evaluation = _read_json(evaluation_path, "metrics")
-    manifest_path = run_path / MANIFEST_NAME
-    manifest = _read_json(manifest_path, "config", "counts", "manifest_hash", "mode")
-    config = _run_config(manifest_path, manifest)
+    manifest, config = _read_manifest(run_path, "counts", "manifest_hash", "mode")
     lines: List[str] = []
     lines.append(f"# Run report: {manifest['mode']}")
     lines.append("")

@@ -138,44 +138,49 @@ def _check_complete(rendered: str, context: str) -> str:
     return rendered
 
 
-def _student_system_template(profile: StudentProfile) -> str:
-    if profile.identity_kind == "none":
-        return "system_student.txt"
-    if profile.identity_kind == "ids":
-        return "system_student_id.txt"
-    # Single shared name and diverse rosters use the same named wording.
-    return "system_student_named.txt"
+# identity kind -> (system template, the identity slot it fills); single
+# shared names and diverse rosters use the same named wording
+_STUDENT_SYSTEM = {
+    "none": ("system_student.txt", None),
+    "ids": ("system_student_id.txt", "[STDID]"),
+    "single": ("system_student_named.txt", "[NAME]"),
+    "diverse": ("system_student_named.txt", "[NAME]"),
+}
 
 
-def render_knowledge_prompt(item: Item, templates: PromptTemplates) -> RenderedPrompt:
-    system = _check_complete(templates.text("system_knowledge.txt").strip(), "system")
-    user = _substitute(
-        templates.text("user_question_answer_key.txt").strip(),
-        {"{stem}": item.stem, "{choices}": format_choices(item)},
-    )
-    return RenderedPrompt(
-        system=system,
-        user=_check_complete(user, "user"),
-        kind=PromptKind.KNOWLEDGE,
-    )
-
-
-def render_direct_percentage_prompt(
-    item: Item, templates: PromptTemplates
+def _render(
+    kind: PromptKind,
+    item: Item,
+    templates: PromptTemplates,
+    files: Tuple[str, str],
+    slots: Mapping[str, str],
 ) -> RenderedPrompt:
-    system = _substitute(
-        templates.text("system_direct_percentage.txt").strip(),
-        {"{grade}": str(item.grade)},
-    )
+    """The (system, user) template ``files`` filled in: ``slots`` in the
+    system message, the item's stem and choices in the user message."""
+    system_file, user_file = files
+    system = _substitute(templates.text(system_file).strip(), slots)
     user = _substitute(
-        templates.text("user_question_percentage.txt").strip(),
+        templates.text(user_file).strip(),
         {"{stem}": item.stem, "{choices}": format_choices(item)},
     )
     return RenderedPrompt(
         system=_check_complete(system, "system"),
         user=_check_complete(user, "user"),
-        kind=PromptKind.DIRECT_PERCENTAGE,
+        kind=kind,
     )
+
+
+def render_knowledge_prompt(item: Item, templates: PromptTemplates) -> RenderedPrompt:
+    files = ("system_knowledge.txt", "user_question_answer_key.txt")
+    return _render(PromptKind.KNOWLEDGE, item, templates, files, {})
+
+
+def render_direct_percentage_prompt(
+    item: Item, templates: PromptTemplates
+) -> RenderedPrompt:
+    files = ("system_direct_percentage.txt", "user_question_percentage.txt")
+    slots = {"{grade}": str(item.grade)}
+    return _render(PromptKind.DIRECT_PERCENTAGE, item, templates, files, slots)
 
 
 def render_student_prompt(
@@ -183,8 +188,10 @@ def render_student_prompt(
 ) -> RenderedPrompt:
     """Role-play prompt for one (student, item) pair: the persona's skill
     and identity come from the profile, its grade and content area from
-    the item."""
-    mapping = {
+    the item. A roster student without the identity its kind needs leaves
+    that slot unfilled, which is a PromptError."""
+    system_file, identity_slot = _STUDENT_SYSTEM[profile.identity_kind]
+    slots = {
         "{grade}": str(item.grade),
         "{skill level}": profile.skill.display_name,
         "{content area of problem}": item.content_area.display_name,
@@ -192,23 +199,7 @@ def render_student_prompt(
             profile.skill
         ),
     }
-    if profile.identity_kind == "ids":
-        if profile.identity is None:
-            raise PromptError("id roster produced a student without an identifier")
-        mapping["[STDID]"] = profile.identity
-    elif profile.identity_kind in ("single", "diverse"):
-        if profile.identity is None:
-            raise PromptError("named roster produced a student without a name")
-        mapping["[NAME]"] = profile.identity
-    system = _substitute(
-        templates.text(_student_system_template(profile)).strip(), mapping
-    )
-    user = _substitute(
-        templates.text("user_question_json.txt").strip(),
-        {"{stem}": item.stem, "{choices}": format_choices(item)},
-    )
-    return RenderedPrompt(
-        system=_check_complete(system, "system"),
-        user=_check_complete(user, "user"),
-        kind=PromptKind.STUDENT,
-    )
+    if identity_slot is not None and profile.identity is not None:
+        slots[identity_slot] = profile.identity
+    files = (system_file, "user_question_json.txt")
+    return _render(PromptKind.STUDENT, item, templates, files, slots)

@@ -290,10 +290,16 @@ class ResponseMatrix:
     def n_items(self) -> int:
         return len(self.item_ids)
 
+    def group_counts(self, members: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(observed, correct) cells per (group, item), exact integers in
+        float64; row g of ``members`` marks the student rows of group g, and
+        groups may overlap."""
+        weight = np.asarray(members, dtype=float)
+        return weight @ self.mask, weight @ (self.data * self.mask)
+
     def item_success_rates(self) -> np.ndarray:
         """Observed fraction correct per item; NaN for fully masked columns."""
-        observed = self.mask.sum(axis=0)
-        correct = np.where(self.mask, self.data, 0).sum(axis=0)
+        [observed], [correct] = self.group_counts(np.ones((1, self.n_students)))
         with np.errstate(invalid="ignore"):
             return np.where(observed > 0, correct / np.maximum(observed, 1), np.nan)
 

@@ -23,6 +23,19 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+_NAN_WEIGHTS = {"BelowBasic": float("nan"), "Basic": 0.35, "Proficient": 0.25, "Advanced": 0.15}
+
+
+def _corpus_with(field, key, value):
+    """A one-item corpus whose ``field`` (its entry ``key``, if not None) is ``value``."""
+    record = make_item_record(0, with_distribution=True, with_subgroups=True)
+    if key is None:
+        record[field] = value
+    else:
+        record[field][key] = value
+    return json.dumps([record])
+
+
 class TestSimulateCommand:
     def test_mock_run_to_directory(self, corpus_path, tmp_path, capsys):
         out = tmp_path / "run"
@@ -67,8 +80,31 @@ class TestSimulateCommand:
                 "item 'g8-0000', field 'content_area'",
             ),
             ('[{"item_id": "g8-0000",', "invalid JSON at line 1"),
+            (
+                _corpus_with("real_choice_distribution", "B", None),
+                "item 'g8-0000', field 'real_choice_distribution': share of 'B'",
+            ),
+            (
+                _corpus_with("real_choice_distribution", "B", "x"),
+                "item 'g8-0000', field 'real_choice_distribution': share of 'B'",
+            ),
+            (
+                _corpus_with("real_choice_distribution", "A", True),
+                "item 'g8-0000', field 'real_choice_distribution': share of 'A'",
+            ),
+            (
+                _corpus_with("real_percent_correct", None, True),
+                "item 'g8-0000', field 'real_percent_correct'",
+            ),
+            (
+                _corpus_with("real_subgroup_percent_correct", "female", True),
+                "item 'g8-0000', field 'real_subgroup_percent_correct'",
+            ),
         ],
-        ids=["missing-field", "broken-json"],
+        ids=[
+            "missing-field", "broken-json", "null-share", "string-share", "true-share",
+            "true-rate", "true-subgroup-rate",
+        ],
     )
     def test_bad_corpus_is_a_one_line_error(self, text, named, tmp_path, capsys):
         corpus = tmp_path / "bad.json"
@@ -242,6 +278,9 @@ class TestRunOptions:
             (["dpce", "--variant", "averaged"], {"temperature": float("inf")},
              "temperature"),
             (["simulate"], {"timeout": float("inf")}, "timeout"),
+            (["simulate"], {"skill_weights": _NAN_WEIGHTS}, "error: skill_weights:"),
+            (["dpce"], {"skill_weights": _NAN_WEIGHTS}, "error: skill_weights:"),
+            (["baseline"], {"skill_weights": _NAN_WEIGHTS}, "error: skill_weights:"),
         ],
         ids=[
             "max-in-flight", "max-retries", "dpce-list", "string", "mock-option",
@@ -249,7 +288,8 @@ class TestRunOptions:
             "temperature", "garble-rate", "noise-scale", "expert-accuracy",
             "dpce-constant", "skill-betas", "timeout-range", "temperature-range",
             "sweep-seed", "empty-sweep", "repeated-size", "single-name-clash",
-            "temperature-inf", "timeout-inf",
+            "temperature-inf", "timeout-inf", "nan-weight-simulate", "nan-weight-dpce",
+            "nan-weight-baseline",
         ],
     )
     def test_bad_value_fails_before_the_run_directory(
@@ -480,6 +520,22 @@ class TestOtherCommands:
         assert rc == 0
         assert "ensemble pearson" in captured.out
         assert out.exists()
+
+    @pytest.mark.parametrize("weights", ["inf,1", "nan,1", "0,0", "-1,1"])
+    def test_ensemble_bad_weights_are_a_one_line_error(
+        self, weights, finished_run, tmp_path, capsys
+    ):
+        out = tmp_path / "blend.json"
+        rc = run_cli(
+            "ensemble",
+            "--runs", str(finished_run), str(finished_run),
+            f"--weights={weights}",
+            "--out", str(out),
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: weights must be") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_ensemble_weight_count_mismatch(self, finished_run, capsys):
         rc = run_cli(

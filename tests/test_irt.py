@@ -208,6 +208,19 @@ class TestFit:
         assert result.iterations == 2
         assert not result.converged
 
+    def test_two_probability_tables_per_sweep(self, monkeypatch):
+        calls = []
+
+        def counted(beta, delta):
+            calls.append(1)
+            return rasch_probability(beta, delta)
+
+        matrix = small_matrix(seed=30)
+        monkeypatch.setattr(irt, "rasch_probability", counted)
+        result = fit_rasch(matrix)
+        # one warm-start table, two per sweep, one for the log-likelihood
+        assert len(calls) == 2 * result.iterations + 2
+
     def test_empty_matrix_rejected(self):
         empty = ResponseMatrix(
             (), (), (), np.zeros((0, 0), dtype=np.int8), np.zeros((0, 0), dtype=bool)

@@ -542,6 +542,9 @@ class TestEnsemble:
             ensemble_predictions([{"a": 1.0}], weights=[1.0, 2.0])
         with pytest.raises(ValueError):
             ensemble_predictions([{"a": 1.0}], weights=[-1.0])
+        for weights in ([math.inf, 1.0], [math.nan, 1.0], [0.0, 0.0]):
+            with pytest.raises(ValueError, match=r"weights must be .*: \["):
+                ensemble_predictions([{"a": 0.2}, {"a": 0.6}], weights=weights)
 
     def test_empty(self):
         assert ensemble_predictions([]) == {}

@@ -116,6 +116,9 @@ class TestConfig:
             {"temperature": float("nan")},
             {"temperature": float("inf")},
             {"timeout": float("inf")},
+            {"skill_weights": {
+                "BelowBasic": float("nan"), "Basic": 0.35, "Proficient": 0.25, "Advanced": 0.15,
+            }},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

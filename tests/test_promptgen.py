@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from classim.classroom import (
@@ -167,3 +169,32 @@ def test_json_braces_in_user_template_survive(item, templates):
     profile = roster_one("none")
     prompt = render_student_prompt(item, profile, templates)
     assert '{"reasoning"' in prompt.user
+
+
+def _digest(prompts):
+    blob = "\x1e".join(f"{p.kind.value}\x1f{p.system}\x1f{p.user}" for p in prompts)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+# sha256 of the rendered bytes; any change to what a prompt says moves them
+PROMPT_DIGESTS = {
+    "knowledge": "ab8acb565ab6cfaa7234b7ca8b94a8e9b66703045d43970dc05ee6f7621618b4",
+    "direct_percentage": "827b92d3220ee44365408cb82515108339ff53756edde2e95ce101d594367697",
+    "none": "7a81f0ffe5fe56a3cbb0a1144639c23beb0b0c9439812b65f5acf19f59c81114",
+    "ids": "79fed119237838eef5075d458a20f172f6c519f0edc532488549a84416824b57",
+    "single:Ana": "76ae1fb42316228674f0e599cb4fb1d8724be66be67745b74bebeb751b9db2c3",
+    "diverse": "4cdd6c8315bf8d3197677c05b5eb17c59022f3c5618d60e63f68abcd38758c1d",
+}
+
+
+def test_rendered_prompt_bytes_are_pinned(item, templates):
+    seen = {
+        "knowledge": _digest([render_knowledge_prompt(item, templates)]),
+        "direct_percentage": _digest([render_direct_percentage_prompt(item, templates)]),
+    }
+    for strategy in ("none", "ids", "single:Ana", "diverse"):
+        roster = sample_classroom(8, SkillDistribution.default(), strategy, 11)
+        seen[strategy] = _digest(
+            [render_student_prompt(item, profile, templates) for profile in roster]
+        )
+    assert seen == PROMPT_DIGESTS

@@ -6,6 +6,7 @@ import pytest
 from classim.responses import (
     ParseStatus,
     ResponseLog,
+    ResponseMatrix,
     SimulatedResponse,
     build_matrix,
     direct_estimates,
@@ -266,6 +267,25 @@ class TestMatrix:
         ]
         with pytest.raises(ValueError):
             build_matrix(responses, ["i1", "i2"])
+
+    def test_group_counts_match_brute_force(self):
+        rng = np.random.default_rng(5)
+        data = rng.integers(0, 2, size=(7, 3)).astype(np.int8)
+        mask = rng.random((7, 3)) < 0.7
+        matrix = ResponseMatrix(
+            ("i1", "i2", "i3"), tuple(range(7)), ("Basic",) * 7, data, mask
+        )
+        members = np.array([[1, 1, 0, 0, 1, 0, 1], [0, 1, 1, 1, 1, 0, 0]], dtype=bool)
+        observed, correct = matrix.group_counts(members)
+        for g, rows in enumerate(members):
+            assert observed[g].tolist() == mask[rows].sum(axis=0).tolist()
+            assert correct[g].tolist() == (data * mask)[rows].sum(axis=0).tolist()
+
+    def test_no_students_count_nothing(self):
+        matrix = build_matrix([], ["i1", "i2"])
+        observed, correct = matrix.group_counts(np.ones((1, 0), dtype=bool))
+        assert observed.tolist() == correct.tolist() == [[0.0, 0.0]]
+        assert np.isnan(matrix.item_success_rates()).all()
 
     def test_shape_mismatch_rejected(self):
         from classim.responses import ResponseMatrix
