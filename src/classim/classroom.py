@@ -17,6 +17,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
+from .corpus import is_number
 from .rng import SplitMix64, derive_seed
 
 
@@ -73,6 +74,9 @@ class SkillDistribution:
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "SkillDistribution":
+        for skill, weight in raw.items():
+            if not is_number(weight):
+                raise ValueError(f"weight of {skill!r} must be a number, got {weight!r}")
         weights = {SkillLevel(str(k)): float(v) for k, v in raw.items()}
         return cls(weights)
 

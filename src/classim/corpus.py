@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -95,8 +96,9 @@ class Item:
     real_subgroup_percent_correct: Optional[dict[str, float]] = None
     extra: dict = field(default_factory=dict, compare=False)
 
-    @property
+    @cached_property
     def choice_letters(self) -> tuple[str, ...]:
+        # computed once per item: every graded reply and distractor draw reads it
         return tuple(letter for letter, _ in self.choices)
 
     def wrong_letters(self) -> tuple[str, ...]:
@@ -138,7 +140,7 @@ def _require(record: dict, item_id: str, field_name: str):
     return record[field_name]
 
 
-def _is_number(value: object) -> bool:
+def is_number(value: object) -> bool:
     # JSON's true and false are no numbers, though bool is an int subclass
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -196,7 +198,7 @@ def _validate_item(record: dict) -> Item:
         )
 
     rate = _require(record, item_id, "real_percent_correct")
-    if not _is_number(rate) or not (0.0 <= float(rate) <= 1.0):
+    if not is_number(rate) or not (0.0 <= float(rate) <= 1.0):
         raise CorpusValidationError(
             item_id, "real_percent_correct", f"must be a fraction in [0,1], got {rate!r}"
         )
@@ -217,7 +219,7 @@ def _validate_item(record: dict) -> Item:
                 item_id, "real_choice_distribution", f"missing correct key {correct_key!r}"
             )
         for letter, share in distribution.items():
-            if not _is_number(share) or share < 0.0:
+            if not is_number(share) or share < 0.0:
                 message = f"share of {letter!r} must be a non-negative number, got {share!r}"
                 raise CorpusValidationError(item_id, "real_choice_distribution", message)
         values = {k: float(v) for k, v in distribution.items()}
@@ -238,7 +240,7 @@ def _validate_item(record: dict) -> Item:
                 item_id, "real_subgroup_percent_correct", "must be a name -> fraction map"
             )
         for name, value in subgroups.items():
-            if not _is_number(value) or not (0.0 <= float(value) <= 1.0):
+            if not is_number(value) or not (0.0 <= float(value) <= 1.0):
                 raise CorpusValidationError(
                     item_id,
                     "real_subgroup_percent_correct",

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Protocol
 import requests
 
 from .classroom import SkillDistribution, SkillLevel
-from .corpus import Corpus, Item
+from .corpus import Corpus, Item, is_number
 from .promptgen import PromptKind, RenderedPrompt
 from .rng import SplitMix64, derive_seed, normal_pair
 
@@ -268,11 +268,7 @@ def _logit(p: float) -> float:
 def _number(name: str, value: object, low: float = -math.inf, high: float = math.inf) -> float:
     """``value`` as a float; a ValueError naming the option unless it is a
     finite number in ``[low, high]``."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not (math.isfinite(value) and low <= value <= high)
-    ):
+    if not (is_number(value) and math.isfinite(value) and low <= value <= high):
         raise ValueError(
             f"{name} must be a finite number in [{low:g}, {high:g}], got {value!r}"
         )
@@ -350,6 +346,19 @@ class MockStudentModel:
         )
         self.delta_source = delta_source
         self.garble_rate = _number("garble_rate", garble_rate, 0.0, 1.0)
+        # what every role-play reply reads, computed once per run: the success
+        # probability per (item id, skill), and each distinct reply text
+        self._success = {
+            (item.item_id, skill): self.success_probability(item, skill)
+            for item in corpus
+            for skill in SkillLevel
+        }
+        letters = sorted({letter for item in corpus for letter in item.choice_letters})
+        self._student_texts = {
+            (phrase, letter): json.dumps({"reasoning": phrase, "answer key": letter})
+            for phrase in _REASONING_PHRASES
+            for letter in letters
+        }
 
     def item_delta(self, item: Item) -> float:
         if self.delta_source == "independent":
@@ -410,13 +419,12 @@ class MockStudentModel:
         rng = self._rng(request, "student")
         if self.garble_rate > 0.0 and rng.next_float() < self.garble_rate:
             return "I ran out of time and could not pick one."
-        p = self.success_probability(item, request.skill)
-        if rng.next_float() < p:
+        if rng.next_float() < self._success[item.item_id, request.skill]:
             letter = item.correct_key
         else:
             letter = self._pick_distractor(item, rng)
         phrase = _REASONING_PHRASES[rng.randrange(len(_REASONING_PHRASES))]
-        return json.dumps({"reasoning": phrase, "answer key": letter})
+        return self._student_texts[phrase, letter]
 
     def _expert_reply(self, request: CompletionRequest, item: Item) -> str:
         rng = self._rng(request, "expert")

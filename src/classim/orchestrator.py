@@ -30,7 +30,7 @@ from .classroom import (
     sample_classroom,
     strategy_kind,
 )
-from .corpus import Corpus, Item, filter_corpus, load_corpus
+from .corpus import Corpus, Item, filter_corpus, is_number, load_corpus
 from .gateway import (
     CompletionBackend,
     CompletionRecord,
@@ -323,7 +323,7 @@ def _read_predictions(path: Path) -> Dict[str, object]:
     payload = _read_json(path, "predictions")
     predictions = payload["predictions"]
     if not isinstance(predictions, dict) or not all(
-        value is None or isinstance(value, (int, float)) for value in predictions.values()
+        value is None or is_number(value) for value in predictions.values()
     ):
         raise ValueError(f"{path}: field 'predictions' must map item ids to numbers or null")
     payload["predictions"] = {

@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from typing import Dict, Mapping, Tuple
+from typing import Callable, Dict, Hashable, Mapping, Tuple
 
 from .classroom import SkillLevel, StudentProfile
 from .corpus import Item
@@ -88,9 +88,17 @@ class RenderedPrompt:
 
 @dataclass(frozen=True)
 class PromptTemplates:
-    """The full template set, loaded once and treated as immutable."""
+    """The full template set, loaded once and treated as immutable.
+
+    Each instance remembers the messages it has rendered, keyed on the
+    inputs they depend on, so a run that loads one set renders each
+    distinct message once; another set never reads this set's memo.
+    """
 
     texts: Mapping[str, str] = field(repr=False)
+    _rendered: Dict[Tuple[Hashable, ...], str] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @classmethod
     def load(cls) -> "PromptTemplates":
@@ -111,6 +119,20 @@ class PromptTemplates:
 
     def skill_description(self, skill: SkillLevel) -> str:
         return self.text(_SKILL_FILES[skill]).strip()
+
+    def fill(
+        self, key: Tuple[Hashable, ...], slots: Callable[[], Mapping[str, str]], context: str
+    ) -> str:
+        """Template file ``key[0]`` stripped, with ``slots()`` substituted and
+        every slot checked filled. ``key`` must hold every input the slot
+        values depend on: the text is built on the first call per key and
+        returned as is after that. A failure is never stored, so it raises
+        on every call."""
+        text = self._rendered.get(key)
+        if text is None:
+            text = _check_complete(_substitute(self.text(key[0]).strip(), slots()), context)
+            self._rendered[key] = text
+        return text
 
     def fixture_hashes(self) -> Dict[str, str]:
         """sha256 per template file, recorded in run manifests."""
@@ -148,39 +170,46 @@ _STUDENT_SYSTEM = {
 }
 
 
+# prompt kind -> the user template that asks its question
+_USER_FILES = {
+    PromptKind.KNOWLEDGE: "user_question_answer_key.txt",
+    PromptKind.DIRECT_PERCENTAGE: "user_question_percentage.txt",
+    PromptKind.STUDENT: "user_question_json.txt",
+}
+
+
 def _render(
     kind: PromptKind,
     item: Item,
     templates: PromptTemplates,
-    files: Tuple[str, str],
-    slots: Mapping[str, str],
+    system_key: Tuple[Hashable, ...],
+    system_slots: Callable[[], Mapping[str, str]],
 ) -> RenderedPrompt:
-    """The (system, user) template ``files`` filled in: ``slots`` in the
-    system message, the item's stem and choices in the user message."""
-    system_file, user_file = files
-    system = _substitute(templates.text(system_file).strip(), slots)
-    user = _substitute(
-        templates.text(user_file).strip(),
-        {"{stem}": item.stem, "{choices}": format_choices(item)},
+    """The system message ``system_key`` names, filled from ``system_slots``,
+    and the kind's user message filled with the item's stem and choices."""
+    system = templates.fill(system_key, system_slots, "system")
+    user = templates.fill(
+        (_USER_FILES[kind], item.stem, item.choices),
+        lambda: {"{stem}": item.stem, "{choices}": format_choices(item)},
+        "user",
     )
-    return RenderedPrompt(
-        system=_check_complete(system, "system"),
-        user=_check_complete(user, "user"),
-        kind=kind,
-    )
+    return RenderedPrompt(system=system, user=user, kind=kind)
 
 
 def render_knowledge_prompt(item: Item, templates: PromptTemplates) -> RenderedPrompt:
-    files = ("system_knowledge.txt", "user_question_answer_key.txt")
-    return _render(PromptKind.KNOWLEDGE, item, templates, files, {})
+    return _render(PromptKind.KNOWLEDGE, item, templates, ("system_knowledge.txt",), dict)
 
 
 def render_direct_percentage_prompt(
     item: Item, templates: PromptTemplates
 ) -> RenderedPrompt:
-    files = ("system_direct_percentage.txt", "user_question_percentage.txt")
-    slots = {"{grade}": str(item.grade)}
-    return _render(PromptKind.DIRECT_PERCENTAGE, item, templates, files, slots)
+    return _render(
+        PromptKind.DIRECT_PERCENTAGE,
+        item,
+        templates,
+        ("system_direct_percentage.txt", item.grade),
+        lambda: {"{grade}": str(item.grade)},
+    )
 
 
 def render_student_prompt(
@@ -191,15 +220,19 @@ def render_student_prompt(
     the item. A roster student without the identity its kind needs leaves
     that slot unfilled, which is a PromptError."""
     system_file, identity_slot = _STUDENT_SYSTEM[profile.identity_kind]
-    slots = {
-        "{grade}": str(item.grade),
-        "{skill level}": profile.skill.display_name,
-        "{content area of problem}": item.content_area.display_name,
-        "{Definition of skill level continues}": templates.skill_description(
-            profile.skill
-        ),
-    }
-    if identity_slot is not None and profile.identity is not None:
-        slots[identity_slot] = profile.identity
-    files = (system_file, "user_question_json.txt")
-    return _render(PromptKind.STUDENT, item, templates, files, slots)
+
+    def slots() -> Dict[str, str]:
+        values = {
+            "{grade}": str(item.grade),
+            "{skill level}": profile.skill.display_name,
+            "{content area of problem}": item.content_area.display_name,
+            "{Definition of skill level continues}": templates.skill_description(
+                profile.skill
+            ),
+        }
+        if identity_slot is not None and profile.identity is not None:
+            values[identity_slot] = profile.identity
+        return values
+
+    system_key = (system_file, profile.identity, profile.skill, item.grade, item.content_area)
+    return _render(PromptKind.STUDENT, item, templates, system_key, slots)

@@ -200,8 +200,13 @@ _RECORD_TYPES: Dict[str, Tuple[type, ...]] = {
 _RECORD_ROWS = set(itertools.product(*_RECORD_TYPES.values()))
 
 
+# json.dumps builds a new encoder per call for any non-default option
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def response_line(response: SimulatedResponse) -> str:
-    return json.dumps(response.to_record(), ensure_ascii=False)
+    """One log line, as ``json.dumps(to_record(), ensure_ascii=False)``."""
+    return _LINE_ENCODER.encode(response.to_record())
 
 
 class ResponseLog:

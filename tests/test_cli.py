@@ -24,6 +24,8 @@ def run_cli(*argv):
 
 
 _NAN_WEIGHTS = {"BelowBasic": float("nan"), "Basic": 0.35, "Proficient": 0.25, "Advanced": 0.15}
+_STRING_WEIGHTS = {"BelowBasic": 0.25, "Basic": "0.35", "Proficient": 0.25, "Advanced": 0.15}
+_BOOL_WEIGHTS = {"BelowBasic": False, "Basic": True, "Proficient": False, "Advanced": False}
 
 
 def _corpus_with(field, key, value):
@@ -281,6 +283,18 @@ class TestRunOptions:
             (["simulate"], {"skill_weights": _NAN_WEIGHTS}, "error: skill_weights:"),
             (["dpce"], {"skill_weights": _NAN_WEIGHTS}, "error: skill_weights:"),
             (["baseline"], {"skill_weights": _NAN_WEIGHTS}, "error: skill_weights:"),
+            (["simulate"], {"skill_weights": _STRING_WEIGHTS},
+             "error: skill_weights: weight of 'Basic' must be a number, got '0.35'"),
+            (["dpce"], {"skill_weights": _STRING_WEIGHTS},
+             "error: skill_weights: weight of 'Basic'"),
+            (["baseline"], {"skill_weights": _STRING_WEIGHTS},
+             "error: skill_weights: weight of 'Basic'"),
+            (["simulate"], {"skill_weights": _BOOL_WEIGHTS},
+             "error: skill_weights: weight of 'BelowBasic' must be a number, got False"),
+            (["dpce"], {"skill_weights": _BOOL_WEIGHTS},
+             "error: skill_weights: weight of 'BelowBasic'"),
+            (["baseline"], {"skill_weights": _BOOL_WEIGHTS},
+             "error: skill_weights: weight of 'BelowBasic'"),
         ],
         ids=[
             "max-in-flight", "max-retries", "dpce-list", "string", "mock-option",
@@ -289,7 +303,9 @@ class TestRunOptions:
             "dpce-constant", "skill-betas", "timeout-range", "temperature-range",
             "sweep-seed", "empty-sweep", "repeated-size", "single-name-clash",
             "temperature-inf", "timeout-inf", "nan-weight-simulate", "nan-weight-dpce",
-            "nan-weight-baseline",
+            "nan-weight-baseline", "string-weight-simulate", "string-weight-dpce",
+            "string-weight-baseline", "bool-weight-simulate", "bool-weight-dpce",
+            "bool-weight-baseline",
         ],
     )
     def test_bad_value_fails_before_the_run_directory(
@@ -347,6 +363,16 @@ def _set(field, value):
     return edit
 
 
+def _predict(item_id, value):
+    """Set one item's prediction, keeping the others."""
+    def edit(text):
+        payload = json.loads(text)
+        payload["predictions"][item_id] = value
+        return json.dumps(payload)
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "command, name, edit, named",
     [
@@ -367,13 +393,15 @@ def _set(field, value):
         ("ensemble", "predictions.json", _set("predictions", []), "'predictions' must map"),
         ("ensemble", "manifest.json", _set("config", {}), "missing config fields"),
         ("report", "manifest.json", _set("config", []), "'config' must be a JSON object"),
+        ("evaluate", "predictions.json", _predict("g8-0001", True), "'predictions' must map"),
+        ("ensemble", "predictions.json", _predict("g8-0001", False), "'predictions' must map"),
     ],
     ids=[
         "fit-field", "fit-list", "predictions-field", "predictions-json",
         "manifest-field", "report-evaluation", "ensemble-predictions", "resume-manifest",
         "manifest-config-empty", "manifest-config-number", "predictions-list",
         "predictions-value", "ensemble-predictions-list", "ensemble-config-empty",
-        "report-config-list",
+        "report-config-list", "predictions-true", "ensemble-predictions-false",
     ],
 )
 def test_unreadable_run_file_is_a_one_line_error(

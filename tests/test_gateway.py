@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from classim import gateway as gateway_module
 from classim.classroom import SkillLevel
 from classim.corpus import load_corpus
 from classim.gateway import (
@@ -27,6 +28,7 @@ from classim.promptgen import (
 )
 from classim.classroom import SkillDistribution, sample_classroom
 from classim.responses import parse_answer, parse_percentage
+from classim.rng import SplitMix64, derive_seed, normal_pair
 from conftest import make_item_record, write_corpus
 
 
@@ -437,6 +439,70 @@ def test_mock_real_marginal_distractors_follow_observed_shares(mock_world):
         parsed = parse_answer(model.complete(req), item.choice_letters)
         picks[parsed.chosen] += 1
     assert picks.most_common(1)[0][0] == dominant
+
+
+def _reference_student_reply(model, request, item):
+    """The role-play reply as the mock computed it per request, from the
+    formulas alone: no per-item table and no per-text cache."""
+    key = request.key
+    rng = SplitMix64(
+        derive_seed(model.seed, "student", key.item_id, key.student_index, key.replicate)
+    )
+    if model.garble_rate > 0.0 and rng.next_float() < model.garble_rate:
+        return "I ran out of time and could not pick one."
+    if rng.next_float() < model.success_probability(item, request.skill):
+        letter = item.correct_key
+    else:
+        letter = model._pick_distractor(item, rng)
+    phrase = gateway_module._REASONING_PHRASES[
+        rng.randrange(len(gateway_module._REASONING_PHRASES))
+    ]
+    return json.dumps({"reasoning": phrase, "answer key": letter})
+
+
+@pytest.mark.parametrize("garble_rate", [0.0, 0.2])
+@pytest.mark.parametrize("policy", ["uniform", "real-marginal"])
+@pytest.mark.parametrize("delta_source", ["real", "independent"])
+def test_mock_tables_match_the_formulas(tmp_path, delta_source, policy, garble_rate):
+    records = [
+        make_item_record(i, n_choices=4 + i % 2, with_distribution=True) for i in range(8)
+    ]
+    corpus = load_corpus(write_corpus(tmp_path / "c.json", records))
+    model = MockStudentModel(
+        corpus, seed=9, delta_source=delta_source, distractor_policy=policy,
+        garble_rate=garble_rate,
+    )
+    for item in corpus:
+        if delta_source == "real":
+            rate = item.real_percent_correct
+            delta = -math.log(rate / (1 - rate))
+        else:
+            delta = normal_pair(SplitMix64(derive_seed(9, "delta", item.item_id)))[0]
+        for skill in SkillLevel:
+            expected = 1.0 / (1.0 + math.exp(delta - model.skill_betas[skill]))
+            assert model._success[item.item_id, skill] == model.success_probability(
+                item, skill
+            )
+            assert model._success[item.item_id, skill] == pytest.approx(expected, rel=1e-12)
+    assert len(model._student_texts) == len(gateway_module._REASONING_PHRASES) * 5
+    templates = PromptTemplates.load()
+    roster = sample_classroom(12, SkillDistribution.default(), "none", seed=3)
+    letters = Counter()
+    for item in corpus:
+        for profile in roster:
+            for replicate in range(3):
+                request = CompletionRequest(
+                    prompt=render_student_prompt(item, profile, templates),
+                    key=RequestKey(item.item_id, profile.student_index, replicate),
+                    temperature=0.7,
+                    skill=profile.skill,
+                )
+                reply = model.complete(request)
+                assert reply == _reference_student_reply(model, request, item)
+                letters[parse_answer(reply, item.choice_letters).chosen] += 1
+    # both branches and every letter, the fifth included, were reached
+    garbled = {None} if garble_rate else set()
+    assert set(letters) == {"A", "B", "C", "D", "E"} | garbled
 
 
 def test_mock_validates_options(mock_world):

@@ -119,6 +119,15 @@ class TestConfig:
             {"skill_weights": {
                 "BelowBasic": float("nan"), "Basic": 0.35, "Proficient": 0.25, "Advanced": 0.15,
             }},
+            {"skill_weights": {
+                "BelowBasic": "0.25", "Basic": "0.35", "Proficient": "0.25", "Advanced": "0.15",
+            }},
+            {"skill_weights": {
+                "BelowBasic": False, "Basic": True, "Proficient": False, "Advanced": False,
+            }},
+            {"skill_weights": {
+                "BelowBasic": 0.25, "Basic": 0.35, "Proficient": 0.25, "Advanced": None,
+            }},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -198,3 +198,75 @@ def test_rendered_prompt_bytes_are_pinned(item, templates):
             [render_student_prompt(item, profile, templates) for profile in roster]
         )
     assert seen == PROMPT_DIGESTS
+
+
+@pytest.fixture
+def mixed_corpus(tmp_path):
+    """Two grades, every content area, and stems shared across grades with
+    different choices, so the memo keys must tell all of them apart."""
+    records = [make_item_record(i, grade=grade) for grade in (4, 8) for i in range(6)]
+    for record in records[6:]:
+        record["choices"][0]["text"] = "seven"
+    return load_corpus(write_corpus(tmp_path / "mixed.json", records))
+
+
+def _every_prompt(corpus, templates_for):
+    """Every prompt of all three kinds over ``corpus``, for each strategy;
+    ``templates_for()`` gives the template set each render uses."""
+    prompts = []
+    for item in corpus:
+        prompts.append(render_knowledge_prompt(item, templates_for()))
+        prompts.append(render_direct_percentage_prompt(item, templates_for()))
+        for strategy in ("none", "ids", "single:Ana", "diverse"):
+            for profile in sample_classroom(8, SkillDistribution.default(), strategy, 11):
+                prompts.append(render_student_prompt(item, profile, templates_for()))
+    return prompts
+
+
+def test_remembered_renders_equal_fresh_ones(mixed_corpus, templates):
+    fresh = _every_prompt(mixed_corpus, lambda: PromptTemplates(texts=templates.texts))
+    first = _every_prompt(mixed_corpus, lambda: templates)
+    again = _every_prompt(mixed_corpus, lambda: templates)
+    assert first == fresh and again == fresh
+    assert len({(p.system, p.user) for p in fresh}) > len(mixed_corpus) * 4
+
+
+def test_memo_holds_each_rendered_message_once(mixed_corpus, templates):
+    prompts = _every_prompt(mixed_corpus, lambda: templates)
+    entries = len(templates._rendered)
+    assert set(templates._rendered.values()) == {p.system for p in prompts} | {
+        p.user for p in prompts
+    }
+    _every_prompt(mixed_corpus, lambda: templates)
+    assert len(templates._rendered) == entries < len(prompts)
+
+
+def test_unfilled_slot_raises_on_every_call(item, templates):
+    texts = dict(templates.texts)
+    texts["system_student_id.txt"] = texts["system_student_id.txt"].replace("[STDID]", "[NAME]")
+    override = PromptTemplates(texts=texts)
+    profile = roster_one("ids")
+    for _ in range(2):
+        with pytest.raises(PromptError, match=r"\[NAME\]"):
+            render_student_prompt(item, profile, override)
+    # the failure was not stored, and other messages still render
+    assert all("[NAME]" not in text for text in override._rendered.values())
+    assert render_student_prompt(item, roster_one("none"), override) == (
+        render_student_prompt(item, roster_one("none"), templates)
+    )
+
+
+@pytest.mark.parametrize("filename", ["system_student_named.txt", "user_question_json.txt"])
+def test_template_sets_never_share_entries(item, templates, filename):
+    texts = dict(templates.texts)
+    texts[filename] = texts[filename].strip() + "\nKeep it short."
+    other = PromptTemplates(texts=texts)
+    profile = roster_one("diverse")
+    base = render_student_prompt(item, profile, templates)
+    changed = render_student_prompt(item, profile, other)
+    assert render_student_prompt(item, profile, templates) == base
+    assert render_student_prompt(item, profile, other) == changed
+    changed_text = changed.user if filename.startswith("user") else changed.system
+    assert changed_text.endswith("Keep it short.")
+    assert "Keep it short." not in base.system + base.user
+    assert not set(templates._rendered.values()) & {changed_text}

@@ -180,6 +180,26 @@ class TestLog:
         }
         assert SimulatedResponse.from_record(record) == response
 
+    @pytest.mark.parametrize(
+        "raw, chosen",
+        [
+            ('{"reasoning": "J\'ai compté: ½ + ¼ = ¾ — 3/4", "answer key": "C"}', "C"),
+            ('She said "B", then \\ "answer key": "B"', "B"),
+            ("first line\nsecond line\r\n\tAnswer Key: D\u2028", "D"),
+            ("I ran out of time and could not pick one.", None),
+            ("数学の答え: \U0001F600 \x00\x1f", None),
+        ],
+        ids=["non-ascii", "quoted", "multi-line", "no-choice", "control"],
+    )
+    def test_line_is_json_dumps_of_the_record(self, raw, chosen):
+        response = SimulatedResponse(
+            item_id="g8-0001", student_index=3, replicate=0, skill="Basic", raw=raw,
+            chosen=chosen, correct=0, parse_status="failed" if chosen is None else "parsed",
+        )
+        line = response_line(response)
+        assert line == json.dumps(response.to_record(), ensure_ascii=False)
+        assert SimulatedResponse.from_record(json.loads(line)) == response
+
     def test_append_and_read(self, tmp_path):
         log = ResponseLog(str(tmp_path / "r.jsonl"))
         batch = [make_response(student=i) for i in range(3)]
