@@ -11,12 +11,12 @@ sibling directories.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from .corpus import read_json
 from .orchestrator import (
     ExperimentConfig,
     RequestFailed,
@@ -79,16 +79,7 @@ _FIELDS = frozenset(spec.name for spec in fields(ExperimentConfig))
 def _base_mapping(args: argparse.Namespace) -> Dict[str, object]:
     base: Dict[str, object] = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            try:
-                base = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{args.config}: invalid JSON at line {exc.lineno}, "
-                    f"column {exc.colno}: {exc.msg}"
-                ) from None
-        if not isinstance(base, dict):
-            raise ValueError(f"{args.config}: config file must hold a JSON object")
+        base = read_json(args.config, dict, "config file must hold a JSON object")
     base.update(
         (name, value)
         for name, value in vars(args).items()

@@ -8,11 +8,12 @@ opaquely so richer exports survive a round trip.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Any, Iterable, Optional, Tuple, Union, get_args, get_origin
 
 VALID_GRADES = (4, 8, 12)
 DIFFICULTY_LABELS = ("Easy", "Medium", "Hard")
@@ -141,8 +142,56 @@ def _require(record: dict, item_id: str, field_name: str):
 
 
 def is_number(value: object) -> bool:
-    # JSON's true and false are no numbers, though bool is an int subclass
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether ``value`` is a JSON number as RFC 8259 defines one: not
+    ``true``/``false`` (bool is an int subclass), not NaN or an infinity,
+    and not an integer too large for a float."""
+    # int-to-float comparisons are exact, and every comparison with NaN is false
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and -sys.float_info.max <= value <= sys.float_info.max
+    )
+
+
+def json_kinds(hint: object) -> Tuple[type, ...]:
+    """The types a field annotated ``hint`` accepts, as JSON spells them:
+    ``Optional`` adds null, a float also takes an int, a ``Dict`` is a dict."""
+    if get_origin(hint) is Union:
+        return tuple(kind for arg in get_args(hint) for kind in json_kinds(arg))
+    if hint is float:
+        return (float, int)
+    return (get_origin(hint) or hint,)  # type: ignore[return-value]
+
+
+def check_kind(name: str, value: object, kinds: Tuple[type, ...]) -> None:
+    """A ValueError naming ``name`` unless ``value`` has one of ``kinds``
+    (from :func:`json_kinds`); a bool passes only where bool is listed, and
+    an int or float only if :func:`is_number` holds."""
+    if isinstance(value, bool):
+        valid = bool in kinds
+    elif isinstance(value, (int, float)):
+        valid = isinstance(value, kinds) and is_number(value)
+    else:
+        valid = isinstance(value, kinds)
+    if not valid:
+        names = {type(None): "null", dict: "a JSON object"}
+        expected = " or ".join(names.get(kind, kind.__name__) for kind in kinds)
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+
+
+def read_json(path: str | Path, kind: type, what: str, error: type = ValueError) -> Any:
+    """The JSON value in the UTF-8 file ``path``; an ``error`` naming the
+    file unless it parses to a ``kind`` (``what`` says what it must hold)."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise error(
+                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from None
+    if not isinstance(payload, kind):
+        raise error(f"{path}: {what}")
+    return payload
 
 
 def _validate_item(record: dict) -> Item:
@@ -276,17 +325,10 @@ def load_corpus(path: str | Path) -> Corpus:
     Raises CorpusParseError for malformed JSON (with line context) and
     CorpusValidationError for the first invariant violation found.
     """
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CorpusParseError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(raw, list):
-        raise CorpusParseError(f"{path}: corpus must be a JSON array of item records")
-    return parse_corpus_records(raw)
+    records = read_json(
+        Path(path), list, "corpus must be a JSON array of item records", CorpusParseError
+    )
+    return parse_corpus_records(records)
 
 
 def item_to_record(item: Item) -> dict:

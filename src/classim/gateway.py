@@ -268,7 +268,7 @@ def _logit(p: float) -> float:
 def _number(name: str, value: object, low: float = -math.inf, high: float = math.inf) -> float:
     """``value`` as a float; a ValueError naming the option unless it is a
     finite number in ``[low, high]``."""
-    if not (is_number(value) and math.isfinite(value) and low <= value <= high):
+    if not (is_number(value) and low <= value <= high):
         raise ValueError(
             f"{name} must be a finite number in [{low:g}, {high:g}], got {value!r}"
         )

@@ -425,13 +425,8 @@ def ensemble_predictions(
         raise ValueError("one weight per prediction set is required")
     if not all(math.isfinite(w) and w >= 0 for w in weights) or not any(weights):
         raise ValueError(f"weights must be finite, non-negative and not all zero: {list(weights)}")
-    combined: Dict[str, float] = {}
-    item_ids: List[str] = []
-    for source in predictions:
-        for item_id in source:
-            if item_id not in combined:
-                combined[item_id] = 0.0
-                item_ids.append(item_id)
+    # every item id once, in order of first appearance
+    item_ids = dict.fromkeys(item_id for source in predictions for item_id in source)
     out: Dict[str, float] = {}
     for item_id in item_ids:
         total = 0.0

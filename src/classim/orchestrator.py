@@ -18,10 +18,10 @@ import itertools
 import json
 import math
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
-from typing import get_args, get_origin, get_type_hints
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union, get_type_hints
 
 from . import __version__
 from .classroom import (
@@ -30,7 +30,8 @@ from .classroom import (
     sample_classroom,
     strategy_kind,
 )
-from .corpus import Corpus, Item, filter_corpus, is_number, load_corpus
+from .corpus import Corpus, Item, check_kind, filter_corpus, is_number, json_kinds
+from .corpus import load_corpus, read_json
 from .gateway import (
     CompletionBackend,
     CompletionRecord,
@@ -127,15 +128,8 @@ class ExperimentConfig:
     mock_options: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name, accepted in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            if not isinstance(value, accepted) or (
-                isinstance(value, bool) and bool not in accepted
-            ):
-                kinds = " or ".join(
-                    "null" if kind is type(None) else kind.__name__ for kind in accepted
-                )
-                raise ValueError(f"{name} must be {kinds}, got {value!r}")
+        for name, kinds in _FIELD_TYPES.items():
+            check_kind(name, getattr(self, name), kinds)
         if self.mode not in ("simulate", "dpce", "baseline"):
             raise ValueError(f"unknown mode {self.mode!r}")
         for name, least in (
@@ -149,9 +143,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= {least}")
         if not self.timeout > 0:
             raise ValueError("timeout must be > 0")
-        for name in ("temperature", "timeout"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         if self.dpce_variant not in _DPCE_VARIANTS:
             raise ValueError(f"unknown dpce_variant {self.dpce_variant!r}")
         unknown = sorted(set(self.mock_options) - _MOCK_OPTIONS)
@@ -190,19 +181,8 @@ class ExperimentConfig:
         return cls(**raw)  # type: ignore[arg-type]
 
 
-def _accepted_types(hint: object) -> Tuple[type, ...]:
-    """The types a field annotated ``hint`` accepts, as JSON spells them:
-    ``Optional`` adds null, a float also takes an int, a ``Dict`` is a dict."""
-    if get_origin(hint) is Union:
-        return tuple(kind for arg in get_args(hint) for kind in _accepted_types(arg))
-    if hint is float:
-        return (float, int)
-    return (get_origin(hint) or hint,)  # type: ignore[return-value]
-
-
-# bool is an int subclass, so it passes only where it is listed.
 _FIELD_TYPES: Dict[str, Tuple[type, ...]] = {
-    name: _accepted_types(hint) for name, hint in get_type_hints(ExperimentConfig).items()
+    name: json_kinds(hint) for name, hint in get_type_hints(ExperimentConfig).items()
 }
 
 
@@ -282,46 +262,39 @@ def _write_json(path: Path, payload: Mapping[str, object]) -> None:
         handle.write("\n")
 
 
-def _read_json(path: Path, *fields: str) -> Dict[str, object]:
+def _read_json(path: Path, **hints: object) -> Dict[str, object]:
     """The JSON object in ``path``; a ValueError naming the file unless it
-    parses to an object that holds every one of ``fields``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{path}: invalid JSON at line {exc.lineno}, "
-                f"column {exc.colno}: {exc.msg}"
-            ) from None
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: must hold a JSON object")
-    for name in fields:
+    parses to an object with each field in ``hints``, of its hint's JSON kind."""
+    payload = read_json(path, dict, "must hold a JSON object")
+    for name, hint in hints.items():
         if name not in payload:
             raise ValueError(f"{path}: missing field {name!r}")
+        check_kind(f"{path}: field {name!r}", payload[name], json_kinds(hint))
     return payload
 
 
-def _read_manifest(run_path: Path, *fields: str) -> Tuple[Dict[str, object], ExperimentConfig]:
+def _read_manifest(run_path: Path, **hints: object) -> Tuple[Dict[str, object], ExperimentConfig]:
     """A run's manifest and its configuration; a ValueError naming
-    ``manifest.json`` unless it holds ``config`` and each of ``fields``,
-    and ``config`` is a valid configuration."""
+    ``manifest.json`` unless it holds an object ``config`` that is a valid
+    configuration, and each field in ``hints`` as :func:`_read_json` checks it."""
     path = run_path / MANIFEST_NAME
-    manifest = _read_json(path, "config", *fields)
-    raw = manifest["config"]
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: field 'config' must be a JSON object")
+    manifest = _read_json(path, config=dict, **hints)
     try:
-        return manifest, ExperimentConfig.from_mapping(raw)
+        return manifest, ExperimentConfig.from_mapping(manifest["config"])
     except ValueError as exc:
         raise ValueError(f"{path}: field 'config': {exc}") from None
 
 
+# fit.json's fields are FitResult's, so their JSON kinds are read off its hints
+_FIT_HINTS = get_type_hints(FitResult)
+
+
 def _read_predictions(path: Path) -> Dict[str, object]:
     """``predictions.json`` at ``path``, each prediction a float or None; a
-    ValueError naming the file unless its ``predictions`` maps item ids to
-    numbers or null."""
-    payload = _read_json(path, "predictions")
-    predictions = payload["predictions"]
+    ValueError naming the file unless it holds an object ``parse_counts``
+    and its ``predictions`` maps item ids to numbers or null."""
+    payload = _read_json(path, parse_counts=dict)
+    predictions = payload.get("predictions")
     if not isinstance(predictions, dict) or not all(
         value is None or is_number(value) for value in predictions.values()
     ):
@@ -371,16 +344,16 @@ class RequestFailed(RuntimeError):
 
 def _prepare_out_dir(
     config: ExperimentConfig, out_dir: Optional[Union[str, Path]], manifest: Dict[str, object]
-) -> Tuple[Optional[Path], Optional[ResponseLog], List[SimulatedResponse], set]:
+) -> Tuple[Optional[Path], Optional[ResponseLog], List[SimulatedResponse]]:
     """Create or re-enter a run directory; refuse one built from a
     different configuration."""
     if out_dir is None:
-        return None, None, [], set()
+        return None, None, []
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     manifest_path = out_path / MANIFEST_NAME
     if manifest_path.exists():
-        existing = _read_json(manifest_path, "config_hash")
+        existing = _read_json(manifest_path, config_hash=str)
         if existing["config_hash"] != manifest["config_hash"]:
             raise ValueError(
                 f"{out_path} holds a run with a different configuration; "
@@ -388,8 +361,7 @@ def _prepare_out_dir(
             )
     _write_json(manifest_path, manifest)
     log = ResponseLog(str(out_path / RESPONSES_NAME))
-    done_responses, done_keys = log.open_resumable()
-    return out_path, log, done_responses, done_keys
+    return out_path, log, log.open_resumable()
 
 
 def _count_statuses(responses: Sequence[SimulatedResponse]) -> Dict[str, int]:
@@ -454,7 +426,9 @@ def _collect(
     arrive and appended once per item. A request that still fails after
     its retries stops the run with :class:`RequestFailed`; only the
     replies before it are logged, so a rerun asks for it again, and the
-    stream's queued requests are never sent. With ``config.capture`` every
+    stream's queued requests are never sent. A rerun checks that the log
+    is the plan's first requests, in order, before it sends any request,
+    and continues the plan after them. With ``config.capture`` every
     record this call receives, the failed one included, is appended to
     ``capture.jsonl`` in the same plan order. ``max_requests`` stops after
     that many new completions (used to exercise resumption).
@@ -477,29 +451,36 @@ def _collect(
     manifest = build_manifest(
         config, templates, len(corpus), n_students, n_requests, names_repeat
     )
-    out_path, log, responses, done = _prepare_out_dir(config, out_dir, manifest)
+    out_path, log, responses = _prepare_out_dir(config, out_dir, manifest)
     gateway = Gateway(
         backend, max_retries=config.max_retries, max_in_flight=config.max_in_flight
     )
 
-    def plan() -> Iterator[CompletionRequest]:
-        issued = 0
+    def plan() -> Iterator[Tuple[RequestKey, Item, Optional[StudentProfile]]]:
         for item in corpus:
             for seat in seats:
                 student_index = NO_STUDENT if seat is None else seat.student_index
                 for replicate in range(replicates):
-                    key = RequestKey(item.item_id, student_index, replicate)
-                    if key in done:
-                        continue
-                    if issued == max_requests:
-                        return
-                    issued += 1
-                    yield CompletionRequest(
-                        prompt=render(item, seat, templates),
-                        key=key,
-                        temperature=temperature,
-                        skill=None if seat is None else seat.skill,
-                    )
+                    yield RequestKey(item.item_id, student_index, replicate), item, seat
+
+    cells = plan()
+    for line, response in enumerate(responses, start=1):
+        key, _, _ = next(cells, (None, None, None))
+        if response.key != key:
+            where = "past the plan's end" if key is None else f"where the plan has {tuple(key)}"
+            raise ValueError(
+                f"{log.path}:{line}: logged reply {tuple(response.key)} {where}; "
+                "a resumed log must be a prefix of this run's plan"
+            )
+    requests = (
+        CompletionRequest(
+            prompt=render(item, seat, templates),
+            key=key,
+            temperature=temperature,
+            skill=None if seat is None else seat.skill,
+        )
+        for key, item, seat in itertools.islice(cells, max_requests)
+    )
 
     def append(graded: List[SimulatedResponse]) -> None:
         if log is not None:
@@ -509,7 +490,7 @@ def _collect(
     capture = None
     if config.capture and out_path is not None:
         capture = open(out_path / CAPTURE_NAME, "a", encoding="utf-8")
-    records = gateway.stream(plan())
+    records = gateway.stream(requests)
     try:
         for item_id, item_records in itertools.groupby(
             records, key=lambda record: record.request.key.item_id
@@ -765,7 +746,7 @@ def evaluate_run(
     identical bytes.
     """
     run_path = Path(run_dir)
-    manifest, config = _read_manifest(run_path, "manifest_hash", "mode")
+    manifest, config = _read_manifest(run_path, manifest_hash=str, mode=str)
     if corpus_path is not None:
         config = replace(config, corpus_path=corpus_path)
     corpus = _load_run_corpus(config)
@@ -775,9 +756,8 @@ def evaluate_run(
         "manifest_hash": manifest["manifest_hash"],
         "mode": manifest["mode"],
         "metrics": evaluate_predictions(predictions, corpus, seed=config.seed),
+        "parse_counts": predictions_payload["parse_counts"],
     }
-    if "parse_counts" in predictions_payload:
-        evaluation["parse_counts"] = predictions_payload["parse_counts"]
 
     if manifest["mode"] == "simulate":
         log = ResponseLog(str(run_path / RESPONSES_NAME))
@@ -803,7 +783,7 @@ def evaluate_run(
         fit_path = run_path / FIT_NAME
         if fit_path.exists():
             keep = ("beta", "converged", "iterations", "log_likelihood")
-            fit = _read_json(fit_path, *keep)
+            fit = _read_json(fit_path, **{name: _FIT_HINTS[name] for name in keep})
             evaluation["fit"] = {name: fit[name] for name in keep}
 
     _write_json(run_path / EVALUATION_JSON_NAME, evaluation)
@@ -899,14 +879,24 @@ def _correlation_row(label: str, block: Mapping[str, object]) -> Tuple[object, .
     return (label, _format_float(block["r"]), _format_float(block["p_value"]), block["n"])
 
 
+@contextmanager
+def _reading(path: Path) -> Iterator[None]:
+    """Turn a KeyError, TypeError or AttributeError that the block raises
+    while it reads the content of ``path`` into a ValueError naming it."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed content: {type(exc).__name__}: {exc}") from None
+
+
 def render_report(run_dir: Union[str, Path]) -> str:
     """Markdown summary of a run's evaluation, regenerated on demand."""
     run_path = Path(run_dir)
     evaluation_path = run_path / EVALUATION_JSON_NAME
     if not evaluation_path.exists():
         evaluate_run(run_path)
-    evaluation = _read_json(evaluation_path, "metrics")
-    manifest, config = _read_manifest(run_path, "counts", "manifest_hash", "mode")
+    evaluation = _read_json(evaluation_path, metrics=dict)
+    manifest, config = _read_manifest(run_path, counts=dict, manifest_hash=str, mode=str)
     lines: List[str] = []
     lines.append(f"# Run report: {manifest['mode']}")
     lines.append("")
@@ -916,69 +906,71 @@ def render_report(run_dir: Union[str, Path]) -> str:
         f"- grade: {config.grade}  students: {config.n_students}  "
         f"strategy: {config.strategy}  seed: {config.seed}"
     )
-    counts = manifest["counts"]
-    lines.append(
-        f"- items: {counts['items']}  requests: {counts['requests']}"
-    )
-    lines.append("")
-    metrics_block = evaluation["metrics"]
-    lines.append("## Agreement with observed difficulty")
-    lines.append("")
-    rows = [_correlation_row(name, metrics_block[name]) for name in ("pearson", "spearman")]
-    for name in ("auc_hard_vs_easy", "auc_hard_vs_rest"):
-        block = metrics_block[name]
-        rows.append(
-            (name, _format_float(block["auc"]), "-", f"{block['n_hard']}+{block['n_other']}")
-        )
-    lines.extend(_table(("metric", "value", "p", "n"), rows))
-    if "parse_counts" in evaluation:
-        lines.append("")
-        lines.append("## Parsing")
-        lines.append("")
-        for status, count in sorted(evaluation["parse_counts"].items()):
-            lines.append(f"- {status}: {count}")
-    if "skill_correctness" in evaluation:
-        lines.append("")
-        lines.append("## Correctness by skill")
-        lines.append("")
-        rates = evaluation["skill_correctness"]
-        lines.extend(
-            _table(("skill", "rate"), ((k, _format_float(v)) for k, v in rates.items()))
-        )
-    if "distractor_match" in evaluation:
-        block = evaluation["distractor_match"]
-        lines.append("")
-        lines.append("## Distractor agreement")
-        lines.append("")
+    with _reading(run_path / MANIFEST_NAME):
+        counts = manifest["counts"]
         lines.append(
-            f"- top wrong answer matches observed on "
-            f"{_format_float(block['match_rate'])} of {block['n_items']} items"
+            f"- items: {counts['items']}  requests: {counts['requests']}"
         )
-        lines.append(
-            f"- blind-guess reference: {_format_float(block['chance_wrong_only'])} "
-            f"(wrong choices only), {_format_float(block['chance_all_choices'])} "
-            "(all choices)"
-        )
-    if "subgroup_correlations" in evaluation:
+    with _reading(evaluation_path):
         lines.append("")
-        lines.append("## Subgroup agreement")
+        metrics_block = evaluation["metrics"]
+        lines.append("## Agreement with observed difficulty")
         lines.append("")
-        subgroups = evaluation["subgroup_correlations"]
-        rows = [_correlation_row(label, block) for label, block in subgroups.items()]
-        lines.extend(_table(("subgroup", "r", "p", "n"), rows))
-    if "fit" in evaluation:
-        block = evaluation["fit"]
-        lines.append("")
-        lines.append("## Ability scaling")
-        lines.append("")
-        betas = block["beta"]
-        lines.extend(
-            _table(("skill", "ability"), ((k, _format_float(v)) for k, v in betas.items()))
-        )
-        lines.append("")
-        lines.append(
-            f"- converged: {block['converged']} after {block['iterations']} sweeps"
-        )
+        rows = [_correlation_row(name, metrics_block[name]) for name in ("pearson", "spearman")]
+        for name in ("auc_hard_vs_easy", "auc_hard_vs_rest"):
+            block = metrics_block[name]
+            rows.append(
+                (name, _format_float(block["auc"]), "-", f"{block['n_hard']}+{block['n_other']}")
+            )
+        lines.extend(_table(("metric", "value", "p", "n"), rows))
+        if "parse_counts" in evaluation:
+            lines.append("")
+            lines.append("## Parsing")
+            lines.append("")
+            for status, count in sorted(evaluation["parse_counts"].items()):
+                lines.append(f"- {status}: {count}")
+        if "skill_correctness" in evaluation:
+            lines.append("")
+            lines.append("## Correctness by skill")
+            lines.append("")
+            rates = evaluation["skill_correctness"]
+            lines.extend(
+                _table(("skill", "rate"), ((k, _format_float(v)) for k, v in rates.items()))
+            )
+        if "distractor_match" in evaluation:
+            block = evaluation["distractor_match"]
+            lines.append("")
+            lines.append("## Distractor agreement")
+            lines.append("")
+            lines.append(
+                f"- top wrong answer matches observed on "
+                f"{_format_float(block['match_rate'])} of {block['n_items']} items"
+            )
+            lines.append(
+                f"- blind-guess reference: {_format_float(block['chance_wrong_only'])} "
+                f"(wrong choices only), {_format_float(block['chance_all_choices'])} "
+                "(all choices)"
+            )
+        if "subgroup_correlations" in evaluation:
+            lines.append("")
+            lines.append("## Subgroup agreement")
+            lines.append("")
+            subgroups = evaluation["subgroup_correlations"]
+            rows = [_correlation_row(label, block) for label, block in subgroups.items()]
+            lines.extend(_table(("subgroup", "r", "p", "n"), rows))
+        if "fit" in evaluation:
+            block = evaluation["fit"]
+            lines.append("")
+            lines.append("## Ability scaling")
+            lines.append("")
+            betas = block["beta"]
+            lines.extend(
+                _table(("skill", "ability"), ((k, _format_float(v)) for k, v in betas.items()))
+            )
+            lines.append("")
+            lines.append(
+                f"- converged: {block['converged']} after {block['iterations']} sweeps"
+            )
     lines.append("")
     report = "\n".join(lines)
     with open(run_path / REPORT_NAME, "w", encoding="utf-8") as handle:

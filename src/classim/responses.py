@@ -18,11 +18,11 @@ import os
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
-from typing import get_args, get_origin, get_type_hints
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
+from .corpus import check_kind, json_kinds
 from .gateway import RequestKey
 
 ANSWER_KEY_FIELD = re.compile(r"^answer[\s_]*key$", re.IGNORECASE)
@@ -175,13 +175,7 @@ class SimulatedResponse:
             for (name, kinds), value in zip(_RECORD_TYPES.items(), values):
                 if value is _MISSING:
                     raise ValueError(f"response record is missing field {name!r}")
-                if type(value) not in kinds:
-                    expected = " or ".join(
-                        "null" if kind is type(None) else kind.__name__ for kind in kinds
-                    )
-                    raise ValueError(
-                        f"response field {name!r} must be {expected}, got {value!r}"
-                    )
+                check_kind(f"response field {name!r}", value, kinds)
         return cls(*values)
 
     @property
@@ -193,8 +187,7 @@ class SimulatedResponse:
 # SimulatedResponse's hints; matched exactly, so that true is not an int.
 _MISSING = object()
 _RECORD_TYPES: Dict[str, Tuple[type, ...]] = {
-    name: get_args(hint) if get_origin(hint) is Union else (hint,)
-    for name, hint in get_type_hints(SimulatedResponse).items()
+    name: json_kinds(hint) for name, hint in get_type_hints(SimulatedResponse).items()
 }
 # Every valid row of field types, so a good record costs one set lookup.
 _RECORD_ROWS = set(itertools.product(*_RECORD_TYPES.values()))
@@ -214,8 +207,8 @@ class ResponseLog:
 
     A killed process can leave a torn final line; :meth:`open_resumable`
     truncates the file back to the last complete line before reading, so
-    a resumed run re-fetches only what the repaired log is missing and the
-    finished file is byte-identical to an uninterrupted one provided the
+    a resumed run that continues its plan after the repaired log's records
+    writes a file byte-identical to an uninterrupted one, provided the
     writer appends records in a deterministic order.
     """
 
@@ -251,10 +244,9 @@ class ResponseLog:
                     ) from None
         return responses
 
-    def open_resumable(self) -> Tuple[List[SimulatedResponse], Set[RequestKey]]:
+    def open_resumable(self) -> List[SimulatedResponse]:
         self.repair()
-        responses = self.read_all()
-        return responses, {response.key for response in responses}
+        return self.read_all()
 
     def append_batch(self, responses: Sequence[SimulatedResponse]) -> None:
         if not responses:

@@ -102,10 +102,18 @@ class TestSimulateCommand:
                 _corpus_with("real_subgroup_percent_correct", "female", True),
                 "item 'g8-0000', field 'real_subgroup_percent_correct'",
             ),
+            (
+                _corpus_with("real_percent_correct", None, 10**400),
+                "item 'g8-0000', field 'real_percent_correct'",
+            ),
+            (
+                _corpus_with("real_choice_distribution", "B", float("nan")),
+                "item 'g8-0000', field 'real_choice_distribution': share of 'B'",
+            ),
         ],
         ids=[
             "missing-field", "broken-json", "null-share", "string-share", "true-share",
-            "true-rate", "true-subgroup-rate",
+            "true-rate", "true-subgroup-rate", "huge-rate", "nan-share",
         ],
     )
     def test_bad_corpus_is_a_one_line_error(self, text, named, tmp_path, capsys):
@@ -280,6 +288,9 @@ class TestRunOptions:
             (["dpce", "--variant", "averaged"], {"temperature": float("inf")},
              "temperature"),
             (["simulate"], {"timeout": float("inf")}, "timeout"),
+            (["simulate"], {"temperature": 10**400}, "error: temperature must be"),
+            (["simulate"], {"mock_options": {"garble_rate": 10**400}},
+             "error: garble_rate must be"),
             (["simulate"], {"skill_weights": _NAN_WEIGHTS}, "error: skill_weights:"),
             (["dpce"], {"skill_weights": _NAN_WEIGHTS}, "error: skill_weights:"),
             (["baseline"], {"skill_weights": _NAN_WEIGHTS}, "error: skill_weights:"),
@@ -302,7 +313,8 @@ class TestRunOptions:
             "temperature", "garble-rate", "noise-scale", "expert-accuracy",
             "dpce-constant", "skill-betas", "timeout-range", "temperature-range",
             "sweep-seed", "empty-sweep", "repeated-size", "single-name-clash",
-            "temperature-inf", "timeout-inf", "nan-weight-simulate", "nan-weight-dpce",
+            "temperature-inf", "timeout-inf", "temperature-huge", "garble-rate-huge",
+            "nan-weight-simulate", "nan-weight-dpce",
             "nan-weight-baseline", "string-weight-simulate", "string-weight-dpce",
             "string-weight-baseline", "bool-weight-simulate", "bool-weight-dpce",
             "bool-weight-baseline",
@@ -363,6 +375,16 @@ def _set(field, value):
     return edit
 
 
+def _set_in(field, key, value):
+    """Set one entry of the object ``field``, keeping the others."""
+    def edit(text):
+        payload = json.loads(text)
+        payload[field][key] = value
+        return json.dumps(payload)
+
+    return edit
+
+
 def _predict(item_id, value):
     """Set one item's prediction, keeping the others."""
     def edit(text):
@@ -395,6 +417,17 @@ def _predict(item_id, value):
         ("report", "manifest.json", _set("config", []), "'config' must be a JSON object"),
         ("evaluate", "predictions.json", _predict("g8-0001", True), "'predictions' must map"),
         ("ensemble", "predictions.json", _predict("g8-0001", False), "'predictions' must map"),
+        ("report", "evaluation.json", _set_in("fit", "beta", 5), "malformed content"),
+        ("report", "evaluation.json", _set("metrics", []), "field 'metrics' must be"),
+        ("report", "manifest.json", _set("counts", 3), "field 'counts' must be"),
+        ("evaluate", "fit.json", _set("beta", [1]), "field 'beta' must be"),
+        ("evaluate", "predictions.json", _set("parse_counts", 7), "field 'parse_counts' must be"),
+        ("evaluate", "predictions.json", _predict("g8-0001", float("nan")),
+         "'predictions' must map"),
+        ("ensemble", "predictions.json", _predict("g8-0001", float("nan")),
+         "'predictions' must map"),
+        ("evaluate", "predictions.json", _predict("g8-0001", 10**400), "'predictions' must map"),
+        ("ensemble", "predictions.json", _predict("g8-0001", 10**400), "'predictions' must map"),
     ],
     ids=[
         "fit-field", "fit-list", "predictions-field", "predictions-json",
@@ -402,6 +435,9 @@ def _predict(item_id, value):
         "manifest-config-empty", "manifest-config-number", "predictions-list",
         "predictions-value", "ensemble-predictions-list", "ensemble-config-empty",
         "report-config-list", "predictions-true", "ensemble-predictions-false",
+        "report-fit-beta-number", "report-metrics-list", "report-counts-number",
+        "fit-beta-list", "predictions-parse-counts-number", "predictions-nan",
+        "ensemble-predictions-nan", "predictions-huge", "ensemble-predictions-huge",
     ],
 )
 def test_unreadable_run_file_is_a_one_line_error(
@@ -426,6 +462,42 @@ def test_unreadable_run_file_is_a_one_line_error(
     assert rc == 2
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
     assert named in err
+
+
+def _with_student(line, student_index):
+    return json.dumps({**json.loads(line), "student_index": student_index}) + "\n"
+
+
+@pytest.mark.parametrize(
+    "edit, line",
+    [
+        (lambda lines: lines[:20] + lines[19:20], 21),
+        (lambda lines: lines[:4] + [_with_student(lines[4], 99)] + lines[5:20], 5),
+        (lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:20], 3),
+        (lambda lines: lines + lines[:1], 61),
+    ],
+    ids=["duplicate", "foreign-student", "swapped", "over-long"],
+)
+def test_resume_refuses_a_log_that_is_not_a_plan_prefix(
+    edit, line, corpus_path, tmp_path, capsys, monkeypatch
+):
+    out = tmp_path / "run"
+    argv = ["simulate", "--corpus", corpus_path, "--mock", "--n", "10", "--out", str(out)]
+    assert run_cli(*argv) == 0
+    log = out / "responses.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) == 60
+    log.write_text("".join(edit(lines)), encoding="utf-8")
+    before = log.read_bytes()
+    calls = []
+    monkeypatch.setattr(MockStudentModel, "complete", lambda self, request: calls.append(request))
+    capsys.readouterr()
+    rc = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {log}:{line}: ") and err.count("\n") == 1
+    assert "prefix" in err
+    assert calls == [] and log.read_bytes() == before
 
 
 def test_one_classroom_answers_every_grade(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from typing import Dict, Optional
 
 import pytest
 
@@ -7,7 +8,10 @@ from classim.corpus import (
     ContentArea,
     CorpusParseError,
     CorpusValidationError,
+    check_kind,
     filter_corpus,
+    is_number,
+    json_kinds,
     load_corpus,
     parse_content_area,
     save_corpus,
@@ -75,6 +79,31 @@ def test_validation_rejects_bad_records(corpus_factory, mutate, field_name):
     with pytest.raises(CorpusValidationError) as err:
         load_corpus(path)
     assert err.value.field_name == field_name
+
+
+@pytest.mark.parametrize("value", [0, -3, 1.5, 10**300, 1e308])
+def test_finite_numbers_are_numbers(value):
+    assert is_number(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, False, float("nan"), float("inf"), -float("inf"), 10**400, -(10**400), "1", None],
+)
+def test_no_json_number_is_nan_infinite_boolean_or_too_large(value):
+    assert not is_number(value)
+
+
+def test_kind_check_applies_the_number_rule():
+    kinds = json_kinds(Optional[float])
+    assert kinds == (float, int, type(None))
+    for value in (0.5, 2, None):
+        check_kind("rate", value, kinds)
+    for value in (True, float("nan"), 10**400, "0.5"):
+        with pytest.raises(ValueError, match=r"^rate must be float or int or null, got "):
+            check_kind("rate", value, kinds)
+    with pytest.raises(ValueError, match=r"^field must be a JSON object, got \[\]$"):
+        check_kind("field", [], json_kinds(Dict[str, float]))
 
 
 def test_choice_letters_must_start_at_a(corpus_factory):

@@ -619,7 +619,10 @@ def content_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _AnswerByContent)
     server.daemon_threads = True
     server.refuse = None
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval makes shutdown() return in ~0.05 s, not ~0.5 s
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield server
     server.shutdown()

@@ -213,15 +213,14 @@ class TestLog:
         log.append_batch([make_response(student=i) for i in range(3)])
         intact = path.read_bytes()
         path.write_bytes(intact + b'{"item_id": "it1", "stu')
-        responses, keys = log.open_resumable()
+        responses = log.open_resumable()
         assert path.read_bytes() == intact
         assert len(responses) == 3
-        assert ("it1", 1, 0) in keys
 
     def test_missing_file_is_empty(self, tmp_path):
         log = ResponseLog(str(tmp_path / "nope.jsonl"))
-        responses, keys = log.open_resumable()
-        assert responses == [] and keys == set()
+        responses = log.open_resumable()
+        assert responses == []
 
     def test_corrupt_interior_line_is_an_error(self, tmp_path):
         path = tmp_path / "r.jsonl"
