@@ -24,7 +24,7 @@ import requests
 
 from .classroom import SkillDistribution, SkillLevel
 from .corpus import Corpus, Item, is_number
-from .promptgen import PromptKind, RenderedPrompt
+from .promptgen import ANSWER_MARKER, PERCENT_MARKER, PromptKind, RenderedPrompt
 from .rng import SplitMix64, derive_seed, normal_pair
 
 API_KEY_ENV = "CLASSIM_API_KEY"
@@ -432,7 +432,7 @@ class MockStudentModel:
             letter = item.correct_key
         else:
             letter = self._pick_distractor(item, rng)
-        return f"Working through it step by step.\nAnswer Key: {letter}"
+        return f"Working through it step by step.\n{ANSWER_MARKER} {letter}"
 
     def _percentage_reply(self, request: CompletionRequest, item: Item) -> str:
         rng = self._rng(request, "percentage")
@@ -446,7 +446,7 @@ class MockStudentModel:
         percent = round(min(max(value, 0.0), 1.0) * 100.0)
         return (
             "Judging the computational load for this grade level.\n"
-            f"Percentage Correct: {percent}"
+            f"{PERCENT_MARKER} {percent}"
         )
 
     def complete(self, request: CompletionRequest) -> str:

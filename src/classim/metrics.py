@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import stdtr
 
 from .corpus import Corpus
+from .irt import SufficientStats
 from .responses import ParseStatus, ResponseMatrix, SimulatedResponse
 from .rng import SplitMix64, derive_seed, splitmix64_block
 
@@ -364,13 +365,13 @@ def distractor_match(
 
 
 def skill_correctness(matrix: ResponseMatrix) -> Dict[str, float]:
-    """Observed fraction correct per skill label, over unmasked cells."""
-    labels = list(dict.fromkeys(matrix.skills))
-    members = np.array(labels, dtype=str)[:, None] == np.array(matrix.skills, dtype=str)
-    observed, correct = (counts.sum(axis=1) for counts in matrix.group_counts(members))
+    """Observed fraction correct per skill label, over unmasked cells, in
+    the order of the fit's groups."""
+    stats = SufficientStats.from_matrix(matrix)
+    observed, correct = stats.n.sum(axis=1), stats.s.sum(axis=1)
     return {
         label: float(correct[g] / observed[g]) if observed[g] else float("nan")
-        for g, label in enumerate(labels)
+        for g, label in enumerate(stats.group_labels)
     }
 
 

@@ -162,6 +162,10 @@ class ExperimentConfig:
             return SkillDistribution.default()
         return SkillDistribution.from_mapping(self.skill_weights)
 
+    def roster(self) -> List[StudentProfile]:
+        """The run's one classroom: the one simulate seats and evaluate groups."""
+        return sample_classroom(self.n_students, self.distribution(), self.strategy, self.seed)
+
     def to_mapping(self) -> Dict[str, object]:
         return asdict(self)
 
@@ -256,10 +260,13 @@ def build_manifest(
     return manifest
 
 
+def _json_text(payload: Mapping[str, object]) -> str:
+    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+
+
 def _write_json(path: Path, payload: Mapping[str, object]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, ensure_ascii=False)
-        handle.write("\n")
+        handle.write(_json_text(payload))
 
 
 def _read_json(path: Path, **hints: object) -> Dict[str, object]:
@@ -346,12 +353,14 @@ def _prepare_out_dir(
     config: ExperimentConfig, out_dir: Optional[Union[str, Path]], manifest: Dict[str, object]
 ) -> Tuple[Optional[Path], Optional[ResponseLog], List[SimulatedResponse]]:
     """Create or re-enter a run directory; refuse one built from a
-    different configuration."""
+    different configuration. An unchanged manifest is not rewritten, so
+    a rerun cannot leave it truncated."""
     if out_dir is None:
         return None, None, []
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     manifest_path = out_path / MANIFEST_NAME
+    text = _json_text(manifest)
     if manifest_path.exists():
         existing = _read_json(manifest_path, config_hash=str)
         if existing["config_hash"] != manifest["config_hash"]:
@@ -359,7 +368,8 @@ def _prepare_out_dir(
                 f"{out_path} holds a run with a different configuration; "
                 "pick a fresh directory or delete the old run"
             )
-    _write_json(manifest_path, manifest)
+    if not manifest_path.exists() or manifest_path.read_bytes() != text.encode("utf-8"):
+        manifest_path.write_text(text, encoding="utf-8")
     log = ResponseLog(str(out_path / RESPONSES_NAME))
     return out_path, log, log.open_resumable()
 
@@ -438,9 +448,7 @@ def _collect(
     seats: Sequence[Optional[StudentProfile]] = (None,)
     n_students, names_repeat = 0, False
     if seated:
-        seats = roster = sample_classroom(
-            config.n_students, config.distribution(), config.strategy, config.seed
-        )
+        seats = roster = config.roster()
         # counted per grade present: it feeds manifest_hash, which every artifact embeds
         n_students = len(roster) * len(corpus.grades_present())
         names = {profile.identity for profile in roster}
@@ -769,10 +777,7 @@ def evaluate_run(
         )
         evaluation["skill_correctness"] = skill_correctness(matrix)
         evaluation["distractor_match"] = asdict(distractor_match(responses, corpus))
-        roster = sample_classroom(
-            config.n_students, config.distribution(), config.strategy, config.seed
-        )
-        groups = _demographic_groups(roster)
+        groups = _demographic_groups(config.roster())
         real_rates = _subgroup_real_rates(corpus)
         if groups and real_rates:
             subgroup = subgroup_correlations(matrix, groups, real_rates)

@@ -215,37 +215,33 @@ class ResponseLog:
     def __init__(self, path: str) -> None:
         self.path = path
 
-    def repair(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "rb") as handle:
-            blob = handle.read()
-        if not blob or blob.endswith(b"\n"):
-            return
-        cut = blob.rfind(b"\n")
-        keep = blob[: cut + 1] if cut >= 0 else b""
-        with open(self.path, "wb") as handle:
-            handle.write(keep)
-
     def read_all(self) -> List[SimulatedResponse]:
+        """Every record, one per file line; a ValueError naming the file
+        line unless each line (blank, torn and non-UTF-8 ones included) is
+        one record."""
         if not os.path.exists(self.path):
             return []
         responses: List[SimulatedResponse] = []
-        with open(self.path, "r", encoding="utf-8") as handle:
+        # as bytes, only b"\n" ends a line: a raw reply may hold U+2028,
+        # which str.splitlines would break on
+        with open(self.path, "rb") as handle:
             for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
                 try:
-                    responses.append(SimulatedResponse.from_record(json.loads(line)))
-                except ValueError as exc:
+                    record = json.loads(line.decode("utf-8"))
+                    responses.append(SimulatedResponse.from_record(record))
+                except ValueError as exc:  # UnicodeDecodeError is one
                     raise ValueError(
                         f"{self.path}:{lineno}: corrupt response line: {exc}"
                     ) from None
         return responses
 
     def open_resumable(self) -> List[SimulatedResponse]:
-        self.repair()
+        """:meth:`read_all` after cutting a torn final line off in place."""
+        if os.path.exists(self.path):
+            with open(self.path, "rb+") as handle:
+                blob = handle.read()
+                if blob and not blob.endswith(b"\n"):
+                    handle.truncate(blob.rfind(b"\n") + 1)
         return self.read_all()
 
     def append_batch(self, responses: Sequence[SimulatedResponse]) -> None:

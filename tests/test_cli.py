@@ -1,6 +1,7 @@
 import json
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -498,6 +499,63 @@ def test_resume_refuses_a_log_that_is_not_a_plan_prefix(
     assert err.startswith(f"error: {log}:{line}: ") and err.count("\n") == 1
     assert "prefix" in err
     assert calls == [] and log.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "edit, line",
+    [
+        (lambda lines: lines[:5] + [b""] + lines[5:], 6),
+        (lambda lines: lines[:5] + [b""] + lines[5:20] + lines[19:], 6),
+        (lambda lines: lines[:2] + [lines[2].replace(b'"raw": "', b'"raw": "caf\xe9 ', 1)]
+         + lines[3:], 3),
+    ],
+    ids=["blank", "blank-then-duplicate", "not-utf8"],
+)
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+def test_a_log_line_that_is_not_one_record_is_a_one_line_error(
+    command, edit, line, corpus_path, tmp_path, capsys, monkeypatch
+):
+    out = tmp_path / "run"
+    argv = ["simulate", "--corpus", corpus_path, "--mock", "--n", "10", "--out", str(out)]
+    assert run_cli(*argv) == 0
+    log = out / "responses.jsonl"
+    lines = log.read_bytes().split(b"\n")[:-1]
+    log.write_bytes(b"".join(line + b"\n" for line in edit(lines)))
+    before = log.read_bytes()
+    calls = []
+    monkeypatch.setattr(MockStudentModel, "complete", lambda self, request: calls.append(request))
+    capsys.readouterr()
+    rc = run_cli(*(["evaluate", "--run", str(out)] if command == "evaluate" else argv))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {log}:{line}: corrupt response line: ")
+    assert err.count("\n") == 1
+    assert calls == [] and log.read_bytes() == before
+
+
+@pytest.mark.parametrize("which", ["config", "corpus", "predictions"])
+def test_a_file_that_is_not_utf8_is_named(which, corpus_path, tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["simulate", "--corpus", corpus_path, "--mock", "--n", "10", "--out", str(out)]
+    path = tmp_path / "latin.json"
+    if which == "config":
+        path.write_bytes(b'{"corpus_path": "caf\xe9"}')
+        argv = ["simulate", "--config", str(path), "--mock"]
+    elif which == "corpus":
+        text = Path(corpus_path).read_bytes()
+        path.write_bytes(text.replace(b'"stem": "', b'"stem": "caf\xe9 ', 1))
+        argv[2] = str(path)
+    else:
+        assert run_cli(*argv) == 0
+        path = out / "predictions.json"
+        path.write_bytes(path.read_bytes().replace(b'"mode": "', b'"mode": "\xe9', 1))
+        argv = ["evaluate", "--run", str(out)]
+    capsys.readouterr()
+    rc = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {path}: not UTF-8 text: ") and err.count("\n") == 1
+    assert which == "predictions" or not out.exists()
 
 
 def test_one_classroom_answers_every_grade(tmp_path, capsys, monkeypatch):

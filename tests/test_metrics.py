@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from classim.classroom import SkillDistribution, sample_classroom
 from classim.corpus import parse_corpus_records
+from classim.irt import fit_rasch
 from classim import metrics
 from classim.metrics import (
     PERMUTATION_ROUNDS,
@@ -473,6 +474,23 @@ class TestSkillCorrectness:
         rates = skill_correctness(matrix)
         assert rates["Basic"] == pytest.approx(2 / 3)
         assert rates["Advanced"] == pytest.approx(1.0)
+
+    def test_keys_follow_the_fit_groups(self):
+        skills = ("Advanced", "Zeta", "Basic", "BelowBasic", "Advanced", "Proficient")
+        rng = np.random.default_rng(3)
+        matrix = ResponseMatrix(
+            item_ids=("q0", "q1", "q2"),
+            student_indices=tuple(range(len(skills))),
+            skills=skills,
+            data=rng.integers(0, 2, size=(len(skills), 3)).astype(np.int8),
+            mask=np.ones((len(skills), 3), dtype=bool),
+        )
+        rates = skill_correctness(matrix)
+        assert list(rates) == list(fit_rasch(matrix).beta)
+        assert list(rates) == ["BelowBasic", "Basic", "Proficient", "Advanced", "Zeta"]
+        for label, rate in rates.items():
+            rows = [i for i, skill in enumerate(skills) if skill == label]
+            assert rate == matrix.data[rows].mean()
 
 
 class TestSubgroupCorrelations:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import threading
 import time
 from dataclasses import fields, replace
@@ -346,6 +347,23 @@ class TestSimulate:
         # the requests already running may finish their attempts; every
         # queued one is cancelled (the whole first item would be 80 calls)
         assert len(calls) <= 2 * config.max_in_flight * (1 + config.max_retries)
+
+    def test_rerun_leaves_an_unchanged_manifest_alone(self, world, tmp_path):
+        finished, interrupted = tmp_path / "finished", tmp_path / "interrupted"
+        run_simulate(world["config"], out_dir=finished)
+        run_simulate(world["config"], out_dir=interrupted, max_requests=30)
+        expected = (world["run_dir"] / MANIFEST_NAME).read_bytes()
+        for run_dir in (finished, interrupted):
+            manifest = run_dir / MANIFEST_NAME
+            os.utime(manifest, ns=(0, 0))
+            assert run_simulate(world["config"], out_dir=run_dir).completed
+            assert manifest.stat().st_mtime_ns == 0
+            assert manifest.read_bytes() == expected
+        # same configuration, other content: rewritten
+        manifest = finished / MANIFEST_NAME
+        manifest.write_bytes(expected.replace(b'"package_version": "', b'"package_version": "0+', 1))
+        run_simulate(world["config"], out_dir=finished)
+        assert manifest.read_bytes() == expected
 
     def test_reusing_directory_for_other_config_fails(self, world):
         with pytest.raises(ValueError, match="different configuration"):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -216,6 +217,19 @@ class TestLog:
         responses = log.open_resumable()
         assert path.read_bytes() == intact
         assert len(responses) == 3
+
+    def test_unicode_line_separators_stay_inside_one_record(self, tmp_path):
+        # json writes these raw; str.splitlines would break a line at each
+        path = tmp_path / "r.jsonl"
+        log = ResponseLog(str(path))
+        odd = replace(make_response(student=1), raw="one\u2028two\u2029three\x85four")
+        batch = [make_response(student=0), odd, make_response(student=2)]
+        log.append_batch(batch)
+        written = path.read_bytes()
+        assert written.count(b"\n") == 3 and "\u2028".encode("utf-8") in written
+        assert log.read_all() == batch
+        assert log.open_resumable() == batch
+        assert path.read_bytes() == written
 
     def test_missing_file_is_empty(self, tmp_path):
         log = ResponseLog(str(tmp_path / "nope.jsonl"))
