@@ -9,18 +9,21 @@ backends only turn one request into text.
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import os
+import re
+import ssl
 import threading
 import time
 from collections import deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Protocol, Sequence
-
-import requests
+from functools import partial
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Protocol, Sequence, Tuple
+from urllib.parse import urlsplit
 
 from .classroom import SkillDistribution, SkillLevel
 from .corpus import Corpus, Item, is_number
@@ -101,23 +104,71 @@ def _retry_after(value: Optional[str]) -> Optional[float]:
     return seconds if 0.0 <= seconds < math.inf else None
 
 
+_UNSENDABLE = re.compile("[^\x21-\x7e]")
+
+
+def parse_endpoint(endpoint: str) -> Tuple[str, str, Optional[int], str]:
+    """``(scheme, host, port, path)`` of an ``http://`` or ``https://``
+    endpoint URL, the path with its query; a ValueError naming
+    ``endpoint`` for any other URL."""
+    try:
+        parts = urlsplit(endpoint)
+        port = parts.port
+    except ValueError as exc:
+        raise ValueError(f"endpoint {endpoint!r}: {exc}") from None
+    # http.client sends the URL as given: it refuses spaces and control
+    # characters, and has no encoding for other text outside ASCII
+    if parts.scheme not in ("http", "https") or not parts.hostname or _UNSENDABLE.search(endpoint):
+        raise ValueError(
+            "endpoint must be an http:// or https:// URL with a host, in printable "
+            f"ASCII without spaces, got {endpoint!r}"
+        )
+    path = parts.path or "/"
+    if parts.query:
+        path = f"{path}?{parts.query}"
+    return parts.scheme, parts.hostname, port, path
+
+
+# What a kept-alive connection raises when the server closed it while idle.
+_STALE_ERRORS = (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError)
+
+
+class _ThreadConnection:
+    """A worker thread's connection, held by its ``threading.local`` only:
+    it closes its socket when the thread ends, not at garbage collection."""
+
+    def __init__(self, connection: http.client.HTTPConnection) -> None:
+        self.connection = connection
+
+    def __del__(self) -> None:
+        self.connection.close()
+
+
 class HttpChatBackend:
-    """POSTs to a chat-completions endpoint and extracts the reply text."""
+    """POSTs to a chat-completions endpoint and extracts the reply text.
+
+    Each worker thread keeps one HTTP/1.1 connection to the endpoint and
+    reuses it while the server keeps it open.
+    """
 
     def __init__(self, endpoint: str, model: str, timeout: float) -> None:
-        self.endpoint = endpoint
         self.model = model
-        self.timeout = timeout
+        scheme, host, port, self._path = parse_endpoint(endpoint)
+        if scheme == "https":
+            self._new_connection = partial(
+                http.client.HTTPSConnection, host, port, timeout=timeout,
+                context=ssl.create_default_context(),
+            )
+        else:
+            self._new_connection = partial(http.client.HTTPConnection, host, port, timeout=timeout)
         self._local = threading.local()
 
-    def _session(self) -> requests.Session:
-        # One session per worker thread; requests.Session is not documented
-        # as safe for concurrent use.
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = requests.Session()
-            self._local.session = session
-        return session
+    def _connection(self) -> http.client.HTTPConnection:
+        # one per worker thread; a connection carries one request at a time
+        held = getattr(self._local, "held", None)
+        if held is None:
+            held = self._local.held = _ThreadConnection(self._new_connection())
+        return held.connection
 
     def _headers(self) -> Dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -126,33 +177,39 @@ class HttpChatBackend:
             headers["Authorization"] = f"Bearer {api_key}"
         return headers
 
+    def _post(self, body: bytes) -> Tuple[int, Optional[str], bytes]:
+        """Status, ``Retry-After`` and body of one POST. A kept-alive
+        connection the server closed while idle is re-sent once on a new
+        one; any other transport failure is a TransientBackendError."""
+        connection = self._connection()
+        reused = connection.sock is not None
+        while True:
+            try:
+                connection.request("POST", self._path, body, self._headers())
+                response = connection.getresponse()
+                return response.status, response.getheader("Retry-After"), response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                connection.close()
+                if not (reused and isinstance(exc, _STALE_ERRORS)):
+                    raise TransientBackendError(f"transport error: {exc}") from exc
+                reused = False  # the re-send goes out on a new connection
+
     def complete(self, request: CompletionRequest) -> str:
         payload: Dict[str, object] = {
             "model": self.model,
             "messages": list(request.prompt.messages()),
             "temperature": request.temperature,
         }
+        status, retry_after, body = self._post(
+            json.dumps(payload, allow_nan=False).encode("utf-8")
+        )
+        if status in _RETRY_STATUSES or status >= 500:
+            wait = _retry_after(retry_after) if status in _RETRY_AFTER_STATUSES else None
+            raise TransientBackendError(f"status {status}", wait)
+        if status != 200:
+            raise RuntimeError(f"status {status}: {body.decode('utf-8', 'replace')[:200]}")
         try:
-            response = self._session().post(
-                self.endpoint,
-                json=payload,
-                headers=self._headers(),
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise TransientBackendError(f"transport error: {exc}") from exc
-        if response.status_code in _RETRY_STATUSES or response.status_code >= 500:
-            retry_after = None
-            if response.status_code in _RETRY_AFTER_STATUSES:
-                retry_after = _retry_after(response.headers.get("Retry-After"))
-            raise TransientBackendError(f"status {response.status_code}", retry_after)
-        if response.status_code != 200:
-            raise RuntimeError(
-                f"status {response.status_code}: {response.text[:200]}"
-            )
-        try:
-            data = response.json()
-            content = data["choices"][0]["message"]["content"]
+            content = json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise RuntimeError(f"malformed completion payload: {exc}") from exc
         if not isinstance(content, str):

@@ -17,8 +17,9 @@ import inspect
 import itertools
 import json
 import math
+import os
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union, get_type_hints
@@ -40,6 +41,7 @@ from .gateway import (
     HttpChatBackend,
     MockStudentModel,
     RequestKey,
+    parse_endpoint,
 )
 from .irt import FitResult, fit_rasch
 from .metrics import (
@@ -151,6 +153,7 @@ class ExperimentConfig:
                 f"unknown mock_options key(s) {unknown}; known: {sorted(_MOCK_OPTIONS)}"
             )
         # parsed here, not first in the run, so every mode rejects them early
+        parse_endpoint(self.endpoint)
         strategy_kind(self.strategy)
         try:
             self.distribution()
@@ -264,9 +267,31 @@ def _json_text(payload: Mapping[str, object]) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` in one step: the text goes to a
+    temporary file in the same directory, then takes the name, so a kill
+    leaves the old file or the new one, never a torn one, and a failed
+    write leaves no temporary file behind. When an old file is there, the
+    text reaches the disk before the rename, so that a power loss cannot
+    put an empty file in its place either. A first write has no old bytes
+    to lose and skips that sync."""
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    replacing = os.path.exists(path)
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            if replacing:
+                handle.flush()
+                os.fsync(handle.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(temp)
+        raise
+
+
 def _write_json(path: Path, payload: Mapping[str, object]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_json_text(payload))
+    _write_text(path, _json_text(payload))
 
 
 def _read_json(path: Path, **hints: object) -> Dict[str, object]:
@@ -369,7 +394,7 @@ def _prepare_out_dir(
                 "pick a fresh directory or delete the old run"
             )
     if not manifest_path.exists() or manifest_path.read_bytes() != text.encode("utf-8"):
-        manifest_path.write_text(text, encoding="utf-8")
+        _write_text(manifest_path, text)
     log = ResponseLog(str(out_path / RESPONSES_NAME))
     return out_path, log, log.open_resumable()
 

@@ -307,6 +307,11 @@ class TestRunOptions:
              "error: skill_weights: weight of 'BelowBasic'"),
             (["baseline"], {"skill_weights": _BOOL_WEIGHTS},
              "error: skill_weights: weight of 'BelowBasic'"),
+            (["simulate", "--endpoint", "localhost:8000/v1/chat/completions"],
+             {"mock": False}, "error: endpoint must be an http:// or https:// URL"),
+            (["dpce"], {"endpoint": "ftp://localhost/v1"}, "error: endpoint must be"),
+            (["baseline", "--endpoint", "http://localhost:port/v1"], {"mock": False},
+             "error: endpoint 'http://localhost:port/v1': Port"),
         ],
         ids=[
             "max-in-flight", "max-retries", "dpce-list", "string", "mock-option",
@@ -318,7 +323,7 @@ class TestRunOptions:
             "nan-weight-simulate", "nan-weight-dpce",
             "nan-weight-baseline", "string-weight-simulate", "string-weight-dpce",
             "string-weight-baseline", "bool-weight-simulate", "bool-weight-dpce",
-            "bool-weight-baseline",
+            "bool-weight-baseline", "endpoint-no-scheme", "endpoint-ftp", "endpoint-port",
         ],
     )
     def test_bad_value_fails_before_the_run_directory(

@@ -1,8 +1,14 @@
+import http.client
 import json
 import math
+import os
+import ssl
+import subprocess
+import sys
 import threading
 from collections import Counter
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +25,7 @@ from classim.gateway import (
     MockStudentModel,
     RequestKey,
     TransientBackendError,
+    parse_endpoint,
 )
 from classim.promptgen import (
     PromptTemplates,
@@ -535,3 +542,155 @@ def test_mock_validates_options(mock_world):
         with pytest.raises(ValueError, match=name):
             MockStudentModel(corpus, seed=1, **{name: value})
 
+
+class _KeepAlive(BaseHTTPRequestHandler):
+    """An HTTP/1.1 endpoint that keeps connections open; with the server's
+    ``close_after_reply`` set it closes each one after its first reply
+    without saying so, as a server does with a connection left idle."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        super().setup()
+        self.server.connections += 1
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.requests += 1
+        blob = json.dumps(_ok_payload(f"reply {self.server.requests}")).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(blob)))
+        self.end_headers()
+        self.wfile.write(blob)
+        self.close_connection = self.server.close_after_reply
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def keep_alive_server():
+    # threaded, so shutdown never waits on a connection a client left open
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAlive)
+    server.daemon_threads = True
+    server.connections = server.requests = 0
+    server.close_after_reply = False
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    yield server
+    server.shutdown()
+    thread.join()
+    server.server_close()
+
+
+def test_one_thread_reuses_one_connection(keep_alive_server):
+    backend = http_backend(keep_alive_server)
+    texts = [backend.complete(request(i)) for i in range(5)]
+    assert texts == [f"reply {i}" for i in range(1, 6)]
+    assert (keep_alive_server.requests, keep_alive_server.connections) == (5, 1)
+
+
+def test_a_stale_connection_is_resent_once_without_an_attempt(keep_alive_server):
+    keep_alive_server.close_after_reply = True
+    sleeps = []
+    gateway = make_gateway(
+        http_backend(keep_alive_server), max_retries=3, max_in_flight=1, sleep=sleeps.append
+    )
+    records = gateway.run([request(0), request(1)])
+    assert [(r.ok, r.text, r.attempts) for r in records] == [
+        (True, "reply 1", 1),
+        (True, "reply 2", 1),
+    ]
+    assert sleeps == []
+    assert (keep_alive_server.requests, keep_alive_server.connections) == (2, 2)
+
+
+def test_a_stale_error_on_a_fresh_connection_is_transient(monkeypatch):
+    backend = HttpChatBackend("http://127.0.0.1:9/v1/chat/completions", "m", timeout=1.0)
+    sends = []
+
+    def reset(*args, **kwargs):
+        sends.append(args)
+        raise ConnectionResetError("reset by peer")
+
+    monkeypatch.setattr(backend._connection(), "request", reset)
+    with pytest.raises(TransientBackendError, match="reset by peer"):
+        backend.complete(request(0))
+    assert len(sends) == 1  # never opened, so not stale: no second send
+
+
+def test_a_slow_reply_times_out_and_is_retried():
+    release = threading.Event()
+
+    class Stalls(BaseHTTPRequestHandler):
+        def do_POST(self):
+            release.wait(10)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Stalls)
+    server.daemon_threads = True
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        backend = HttpChatBackend(endpoint(server), "m", timeout=0.2)
+        sleeps = []
+        gateway = make_gateway(backend, max_retries=1, max_in_flight=1, sleep=sleeps.append)
+        [record] = gateway.run([request(0)])
+    finally:
+        release.set()
+        server.shutdown()
+        thread.join()
+        server.server_close()
+    assert not record.ok and record.attempts == 2
+    assert sleeps == [BACKOFF_BASE]
+    assert "timed out" in record.error
+
+
+def test_an_https_endpoint_builds_an_unopened_tls_connection():
+    backend = HttpChatBackend("https://llm.example:8443/v1/chat?tier=a", "m", timeout=5.0)
+    connection = backend._connection()
+    assert isinstance(connection, http.client.HTTPSConnection)
+    assert (connection.host, connection.port, connection.timeout) == ("llm.example", 8443, 5.0)
+    assert connection.sock is None  # nothing was sent
+    assert backend._path == "/v1/chat?tier=a"
+    assert connection._context.verify_mode == ssl.CERT_REQUIRED
+    assert connection._context.check_hostname
+
+
+@pytest.mark.parametrize(
+    "url",
+    [
+        "localhost:8000/v1",
+        "ftp://host/v1",
+        "http:///v1",
+        "http://host:port/v1",
+        "http://[::1/v1",
+        "http://host/v1/chat completions",
+        "http://host/v1/caf\u00e9",
+    ],
+)
+def test_a_malformed_endpoint_is_a_value_error_naming_it(url):
+    with pytest.raises(ValueError, match="endpoint"):
+        parse_endpoint(url)
+    with pytest.raises(ValueError, match="endpoint"):
+        HttpChatBackend(url, "m", timeout=1.0)
+
+
+def test_importing_classim_leaves_requests_out():
+    # the standard library carries every request; a dependency must not creep back
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, classim; print('requests' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(Path(gateway_module.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

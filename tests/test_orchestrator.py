@@ -35,6 +35,7 @@ from classim.orchestrator import (
     run_ensemble,
     run_simulate,
     _FIELD_TYPES,
+    _write_json,
 )
 from classim.promptgen import PromptTemplates
 from classim.rng import derive_seed, mix64
@@ -129,6 +130,10 @@ class TestConfig:
             {"skill_weights": {
                 "BelowBasic": 0.25, "Basic": 0.35, "Proficient": 0.25, "Advanced": None,
             }},
+            {"endpoint": "localhost:8000/v1/chat/completions"},
+            {"endpoint": "ftp://localhost/v1/chat/completions"},
+            {"endpoint": "http:///v1/chat/completions"},
+            {"endpoint": "http://localhost:port/v1/chat/completions"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -364,6 +369,32 @@ class TestSimulate:
         manifest.write_bytes(expected.replace(b'"package_version": "', b'"package_version": "0+', 1))
         run_simulate(world["config"], out_dir=finished)
         assert manifest.read_bytes() == expected
+
+    @pytest.mark.parametrize("broken", ["fsync", "replace"])
+    def test_a_failed_artifact_write_keeps_the_old_file(
+        self, world, tmp_path, monkeypatch, broken
+    ):
+        run_dir = tmp_path / "run"
+        run_simulate(world["config"], out_dir=run_dir)
+        evaluate_run(run_dir)
+        manifest = run_dir / MANIFEST_NAME
+        manifest.write_bytes(
+            manifest.read_bytes().replace(b'"package_version": "', b'"package_version": "0+', 1)
+        )
+        before = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+
+        def fail(*args):
+            raise OSError(f"{broken} failed")
+
+        monkeypatch.setattr(os, broken, fail)
+        with pytest.raises(OSError, match=f"{broken} failed"):
+            _write_json(run_dir / FIT_NAME, {"beta": "overwritten"})
+        with pytest.raises(OSError, match=f"{broken} failed"):
+            evaluate_run(run_dir)
+        # a rerun rewrites a manifest whose bytes differ
+        with pytest.raises(OSError, match=f"{broken} failed"):
+            run_simulate(world["config"], out_dir=run_dir)
+        assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == before
 
     def test_reusing_directory_for_other_config_fails(self, world):
         with pytest.raises(ValueError, match="different configuration"):
