@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import stdtr
@@ -302,6 +302,24 @@ def _top_wrong_letter(
     return best, tie
 
 
+def tally_wrong_choices(
+    responses: Iterable[SimulatedResponse], counts: Dict[str, Dict[str, int]]
+) -> Iterator[SimulatedResponse]:
+    """Pass ``responses`` through unchanged, adding each wrong choice to
+    ``counts[item_id][letter]``: a reply that parsed to a letter and was
+    graded incorrect. Failed parses and unanswered replies do not count."""
+    failed = ParseStatus.FAILED.value
+    for response in responses:
+        if (
+            response.parse_status != failed
+            and response.chosen is not None
+            and response.correct != 1
+        ):
+            picked = counts.setdefault(response.item_id, {})
+            picked[response.chosen] = picked.get(response.chosen, 0) + 1
+        yield response
+
+
 def distractor_match(
     responses: Iterable[SimulatedResponse], corpus: Corpus
 ) -> DistractorMatchResult:
@@ -314,14 +332,16 @@ def distractor_match(
     one. Items where the model never answered wrongly are skipped.
     """
     counts: Dict[str, Dict[str, int]] = {}
-    for response in responses:
-        if response.parse_status == ParseStatus.FAILED.value:
-            continue
-        if response.chosen is None or response.correct == 1:
-            continue
-        counts.setdefault(response.item_id, {}).setdefault(response.chosen, 0)
-        counts[response.item_id][response.chosen] += 1
+    for _ in tally_wrong_choices(responses, counts):
+        pass
+    return distractor_agreement(counts, corpus)
 
+
+def distractor_agreement(
+    counts: Mapping[str, Mapping[str, int]], corpus: Corpus
+) -> DistractorMatchResult:
+    """:func:`distractor_match` from the wrong choices that
+    :func:`tally_wrong_choices` counted, per item in order of first reply."""
     matches = 0
     n_items = 0
     model_ties = 0

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import inspect
+import io
 import itertools
 import json
 import math
@@ -47,13 +48,14 @@ from .irt import FitResult, fit_rasch
 from .metrics import (
     CorrelationResult,
     difficulty_separation,
-    distractor_match,
+    distractor_agreement,
     ensemble_predictions,
     pearson,
     permutation_pvalue,
     skill_correctness,
     spearman,
     subgroup_correlations,
+    tally_wrong_choices,
 )
 from .promptgen import (
     PromptTemplates,
@@ -793,15 +795,16 @@ def evaluate_run(
     }
 
     if manifest["mode"] == "simulate":
+        # one pass over the log, which is never held whole
         log = ResponseLog(str(run_path / RESPONSES_NAME))
-        responses = log.read_all()
+        wrong_choices: Dict[str, Dict[str, int]] = {}
         matrix = build_matrix(
-            responses,
+            tally_wrong_choices(log.records(), wrong_choices),
             [item.item_id for item in corpus],
             mask_failed=config.mask_failed,
         )
         evaluation["skill_correctness"] = skill_correctness(matrix)
-        evaluation["distractor_match"] = asdict(distractor_match(responses, corpus))
+        evaluation["distractor_match"] = asdict(distractor_agreement(wrong_choices, corpus))
         groups = _demographic_groups(config.roster())
         real_rates = _subgroup_real_rates(corpus)
         if groups and real_rates:
@@ -824,22 +827,21 @@ def evaluate_run(
 def _write_evaluation_csv(
     path: Path, predictions: Mapping[str, Optional[float]], corpus: Corpus
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["item_id", "grade", "difficulty", "real_rate", "predicted_rate"])
+    for item in corpus:
+        value = predictions.get(item.item_id)
         writer.writerow(
-            ["item_id", "grade", "difficulty", "real_rate", "predicted_rate"]
+            [
+                item.item_id,
+                item.grade,
+                item.difficulty_label,
+                f"{item.real_percent_correct:.6f}",
+                "" if value is None else f"{value:.6f}",
+            ]
         )
-        for item in corpus:
-            value = predictions.get(item.item_id)
-            writer.writerow(
-                [
-                    item.item_id,
-                    item.grade,
-                    item.difficulty_label,
-                    f"{item.real_percent_correct:.6f}",
-                    "" if value is None else f"{value:.6f}",
-                ]
-            )
+    _write_text(path, text.getvalue())
 
 
 def run_ensemble(
@@ -1003,6 +1005,5 @@ def render_report(run_dir: Union[str, Path]) -> str:
             )
     lines.append("")
     report = "\n".join(lines)
-    with open(run_path / REPORT_NAME, "w", encoding="utf-8") as handle:
-        handle.write(report)
+    _write_text(run_path / REPORT_NAME, report)
     return report

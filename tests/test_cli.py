@@ -538,6 +538,41 @@ def test_a_log_line_that_is_not_one_record_is_a_one_line_error(
     assert calls == [] and log.read_bytes() == before
 
 
+def test_evaluate_stops_at_a_corrupt_line_and_writes_no_evaluation(
+    corpus_path, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    argv = ["simulate", "--corpus", corpus_path, "--mock", "--n", "10", "--out", str(out)]
+    assert run_cli(*argv) == 0
+    log = out / "responses.jsonl"
+    intact = log.read_bytes()
+    lines = intact.split(b"\n")[:-1]
+    n = 17  # complete records before the corrupt one
+    torn = b"".join(line + b"\n" for line in lines[:n] + [lines[n][:40]] + lines[n:])
+    derived = ("evaluation.json", "evaluation.csv")
+
+    def evaluate():
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--run", str(out))
+        return rc, capsys.readouterr().err
+
+    log.write_bytes(torn)
+    rc, err = evaluate()
+    assert rc == 2
+    assert err.startswith(f"error: {log}:{n + 1}: corrupt response line: ")
+    assert err.count("\n") == 1
+    assert not any((out / name).exists() for name in derived)
+
+    log.write_bytes(intact)
+    assert evaluate()[0] == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    log.write_bytes(torn)
+    rc, err = evaluate()
+    assert rc == 2 and f"{log}:{n + 1}: corrupt response line: " in err
+    after = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert after == {**before, "responses.jsonl": torn}
+
+
 @pytest.mark.parametrize("which", ["config", "corpus", "predictions"])
 def test_a_file_that_is_not_utf8_is_named(which, corpus_path, tmp_path, capsys):
     out = tmp_path / "run"

@@ -16,6 +16,7 @@ from classim.metrics import (
     _pearson_r,
     average_ranks,
     difficulty_separation,
+    distractor_agreement,
     distractor_match,
     ensemble_predictions,
     mann_whitney_auc,
@@ -24,6 +25,7 @@ from classim.metrics import (
     skill_correctness,
     spearman,
     subgroup_correlations,
+    tally_wrong_choices,
 )
 from classim.responses import ResponseMatrix, SimulatedResponse, build_matrix
 from classim.rng import SplitMix64, derive_seed
@@ -460,6 +462,28 @@ class TestDistractorMatch:
         result = distractor_match(responses, corpus)
         assert result.n_items == 0
         assert math.isnan(result.match_rate)
+
+
+    def test_the_tally_passes_every_reply_through_and_counts_wrong_choices(self):
+        corpus = self.corpus()
+        first, second = (item.item_id for item in corpus.items[:2])
+        responses = [
+            _response(second, "B", 0),
+            _response(first, "A", 0, student=1),
+            _response(first, "A", 1, student=2),  # right, so not a distractor
+            _response(first, None, 0, status="failed", student=3),
+            _response(first, "C", 0, status="failed", student=4),  # failed parses never count
+            _response(first, None, 0, student=5),  # no letter, nothing to count
+            _response(second, "B", 0, status="recovered", student=6),
+            _response(first, "D", 2, student=7),  # any grade but 1 is wrong
+        ]
+        counts = {}
+        passed = tally_wrong_choices(iter(responses), counts)
+        assert counts == {}  # nothing is read before it is consumed
+        assert list(passed) == responses
+        assert counts == {second: {"B": 2}, first: {"A": 1, "D": 1}}
+        assert list(counts) == [second, first]
+        assert distractor_agreement(counts, corpus) == distractor_match(responses, corpus)
 
 
 class TestSkillCorrectness:

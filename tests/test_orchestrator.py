@@ -3,6 +3,7 @@ import json
 import os
 import threading
 import time
+import tracemalloc
 from dataclasses import fields, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -396,6 +397,28 @@ class TestSimulate:
             run_simulate(world["config"], out_dir=run_dir)
         assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == before
 
+    def test_a_failed_csv_or_report_write_keeps_the_old_file(self, world, tmp_path, monkeypatch):
+        run_dir = tmp_path / "run"
+        run_simulate(world["config"], out_dir=run_dir)
+        render_report(run_dir)
+        # older bytes than a rewrite would put there, so a write in place shows
+        for name in (EVALUATION_CSV_NAME, REPORT_NAME):
+            (run_dir / name).write_bytes((run_dir / name).read_bytes() + b"older\n")
+        before = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+        replace_file = os.replace
+
+        def fail_for_csv_and_report(src, dst):
+            if Path(dst).name in (EVALUATION_CSV_NAME, REPORT_NAME):
+                raise OSError("replace failed")
+            replace_file(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_for_csv_and_report)
+        with pytest.raises(OSError, match="replace failed"):
+            evaluate_run(run_dir)
+        with pytest.raises(OSError, match="replace failed"):
+            render_report(run_dir)
+        assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == before
+
     def test_reusing_directory_for_other_config_fails(self, world):
         with pytest.raises(ValueError, match="different configuration"):
             run_simulate(
@@ -762,6 +785,30 @@ class TestEvaluate:
         first = lines[1].split(",")
         assert first[1] == "8"
         float(first[3]), float(first[4])  # both populated for a finished run
+
+    def test_memory_does_not_grow_with_the_log(self, world, tmp_path):
+        # 250 students x 8 items: 2,000 replies of more than 4 KB each
+        run_dir = tmp_path / "long"
+        run_simulate(replace(world["config"], n_students=250), out_dir=run_dir)
+        log = run_dir / RESPONSES_NAME
+        records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        assert len(records) == 2000
+        for record in records:
+            record["raw"] += " I checked each step again." * 160
+        log.write_text(
+            "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records),
+            encoding="utf-8",
+        )
+        size = log.stat().st_size
+        assert size > 2000 * 4096
+        tracemalloc.start()
+        try:
+            evaluation = evaluate_run(run_dir)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert evaluation["fit"]["converged"] is True
+        assert peak < size / 4, (peak, size)
 
     def test_corpus_override(self, world):
         evaluation = evaluate_run(world["run_dir"], corpus_path=world["corpus_path"])

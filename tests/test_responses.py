@@ -1,9 +1,12 @@
 import json
-from dataclasses import replace
+import random
+import re
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
+from classim import responses as responses_module
 from classim.responses import (
     ParseStatus,
     ResponseLog,
@@ -243,6 +246,72 @@ class TestLog:
             ResponseLog(str(path)).read_all()
 
 
+    def test_record_reads_the_fields_in_declaration_order(self):
+        response = make_response()
+        assert list(response.to_record()) == [field.name for field in fields(SimulatedResponse)]
+        assert [*response.to_record().values()] == [
+            getattr(response, field.name) for field in fields(SimulatedResponse)
+        ]
+
+    def test_records_are_slotted_frozen_values(self):
+        response = make_response()
+        assert not hasattr(response, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            response.correct = 0
+        assert response == make_response() and hash(response) == hash(make_response())
+        assert response != make_response(correct=0)
+        assert replace(response, correct=0) == make_response(correct=0)
+        assert {response, make_response()} == {response}
+
+
+class TestRecords:
+    def test_records_come_one_at_a_time_in_file_order(self, tmp_path):
+        log = ResponseLog(str(tmp_path / "r.jsonl"))
+        batch = [make_response(student=i) for i in range(4)]
+        log.append_batch(batch)
+        records = log.records()
+        assert not isinstance(records, list)
+        assert next(records) == batch[0]
+        assert list(records) == batch[1:]
+        assert log.read_all() == batch
+
+    def test_a_corrupt_line_fails_when_it_is_reached(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        log = ResponseLog(str(path))
+        batch = [make_response(student=i) for i in range(3)]
+        log.append_batch(batch)
+        path.write_bytes(path.read_bytes() + b'{"item_id": "it1"}\n' + response_line(batch[0]).encode() + b"\n")
+        records = log.records()
+        assert [next(records) for _ in batch] == batch
+        with pytest.raises(
+            ValueError,
+            match=rf"^{re.escape(str(path))}:4: corrupt response line: .*'student_index'",
+        ):
+            next(records)
+
+    def test_missing_file_yields_nothing(self, tmp_path):
+        assert list(ResponseLog(str(tmp_path / "nope.jsonl")).records()) == []
+
+    def test_a_consumer_that_stops_early_leaves_no_open_file(self, tmp_path, monkeypatch):
+        log = ResponseLog(str(tmp_path / "r.jsonl"))
+        log.append_batch([make_response(student=i) for i in range(3)])
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(responses_module, "open", recording_open, raising=False)
+        for _ in log.records():
+            break
+        assert len(opened) == 1 and opened[0].closed
+        records = log.records()
+        next(records)
+        assert not opened[1].closed
+        del records
+        assert opened[1].closed
+
+
 class TestMatrix:
     def test_basic_shape_and_values(self):
         responses = [
@@ -345,3 +414,111 @@ def test_direct_estimates_average_and_null():
     assert estimates["i1"] == pytest.approx(0.5)
     assert estimates["i2"] is None
     assert "ignored" not in estimates
+
+
+def reference_build_matrix(responses, item_ids, mask_failed=False):
+    """build_matrix as a dict of per-cell vote lists, the reference the
+    flat builder must match."""
+    column = {item_id: j for j, item_id in enumerate(item_ids)}
+    votes = {}
+    skills = {}
+    for response in responses:
+        if response.item_id not in column:
+            continue
+        if mask_failed and response.parse_status == ParseStatus.FAILED.value:
+            continue
+        prior = skills.setdefault(response.student_index, response.skill)
+        if prior != response.skill:
+            raise ValueError(
+                f"student {response.student_index} appears with skills "
+                f"{prior!r} and {response.skill!r}"
+            )
+        votes.setdefault((response.student_index, response.item_id), []).append(
+            response.correct
+        )
+    students = tuple(sorted(skills))
+    row = {student_index: i for i, student_index in enumerate(students)}
+    data = np.zeros((len(students), len(column)), dtype=np.int8)
+    mask = np.zeros((len(students), len(column)), dtype=bool)
+    for (student_index, item_id), scores in votes.items():
+        i, j = row[student_index], column[item_id]
+        mask[i, j] = True
+        data[i, j] = 1 if sum(scores) * 2 > len(scores) else 0
+    return ResponseMatrix(
+        item_ids=tuple(item_ids),
+        student_indices=students,
+        skills=tuple(skills[s] for s in students),
+        data=data,
+        mask=mask,
+    )
+
+
+# grades other than 0 and 1 that from_record admits; sums near 2**53 and
+# past 2**63 must be exact, as Python ints are
+_ODD_GRADES = (2, -1, 7, 2**53 + 1, -(2**53), 2**64, -(2**64) + 3, 10**30)
+
+
+def _random_replies(rng, item_ids, odd_grades, clash):
+    students = rng.sample([-5, 0, 1, 2, 3, 7, 11, 40, 2**40, 10**20], rng.randint(1, 7))
+    skill = {s: rng.choice(("BelowBasic", "Basic", "Proficient", "Advanced")) for s in students}
+    replies = []
+    for student in students:
+        for item_id in [*item_ids, "unknown-1", "unknown-2"]:
+            if rng.random() < 0.2:
+                continue  # an unobserved cell
+            for replicate in range(rng.randint(1, 4)):
+                correct = rng.randint(0, 1)
+                if odd_grades and rng.random() < 0.3:
+                    correct = rng.choice(_ODD_GRADES)
+                replies.append(
+                    SimulatedResponse(
+                        item_id=item_id,
+                        student_index=student,
+                        replicate=replicate,
+                        skill=skill[student],
+                        raw="",
+                        chosen=None,
+                        correct=correct,
+                        parse_status=rng.choice(("parsed", "recovered", "failed")),
+                    )
+                )
+    rng.shuffle(replies)
+    if clash:
+        at = rng.randrange(len(replies))
+        replies[at] = replace(replies[at], skill="Other")
+    return replies
+
+
+@pytest.mark.parametrize("mask_failed", [False, True], ids=["counted", "masked"])
+@pytest.mark.parametrize("seed", range(60))
+def test_build_matrix_matches_the_per_cell_reference(seed, mask_failed):
+    rng = random.Random(seed)
+    item_ids = [f"i{j}" for j in range(rng.randint(1, 5))]
+    replies = _random_replies(rng, item_ids, odd_grades=seed % 2 == 1, clash=seed % 5 == 4)
+    try:
+        expected = reference_build_matrix(replies, item_ids, mask_failed)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            build_matrix(iter(replies), item_ids, mask_failed)
+        assert str(raised.value) == str(exc)
+        return
+    matrix = build_matrix(iter(replies), item_ids, mask_failed)
+    assert matrix.item_ids == expected.item_ids
+    assert matrix.student_indices == expected.student_indices
+    assert matrix.skills == expected.skills
+    assert matrix.data.dtype == expected.data.dtype == np.int8
+    assert matrix.data.tolist() == expected.data.tolist()
+    assert matrix.mask.tolist() == expected.mask.tolist()
+
+
+def test_build_matrix_ties_and_odd_grades_follow_the_majority_rule():
+    cells = {"tie": [1, 0], "two-thirds": [1, 1, 0], "past-2**53": [2**53 + 1, -(2**53), 1],
+             "cancelled": [10**30, -(10**30)], "negative": [-1, 1, 1]}
+    replies = [
+        make_response(item=item_id, replicate=r, correct=grade)
+        for item_id, grades in cells.items()
+        for r, grade in enumerate(grades)
+    ]
+    matrix = build_matrix(replies, list(cells))
+    assert matrix.data.tolist() == [[0, 1, 1, 0, 0]]
+    assert matrix.data.tolist() == reference_build_matrix(replies, list(cells)).data.tolist()
