@@ -365,20 +365,12 @@ def distractor_agreement(
         matches += int(model_top == observed_top)
         inv_wrong += 1.0 / len(wrong)
         inv_all += 1.0 / len(item.choices)
-    if n_items == 0:
-        return DistractorMatchResult(
-            match_rate=float("nan"),
-            n_items=0,
-            chance_wrong_only=float("nan"),
-            chance_all_choices=float("nan"),
-            model_ties=0,
-            observed_ties=0,
-        )
+    per = n_items or float("nan")  # with no item, every share is NaN
     return DistractorMatchResult(
-        match_rate=matches / n_items,
+        match_rate=matches / per,
         n_items=n_items,
-        chance_wrong_only=inv_wrong / n_items,
-        chance_all_choices=inv_all / n_items,
+        chance_wrong_only=inv_wrong / per,
+        chance_all_choices=inv_all / per,
         model_ties=model_ties,
         observed_ties=observed_ties,
     )

@@ -65,6 +65,7 @@ from .promptgen import (
     render_student_prompt,
 )
 from .responses import (
+    NO_STUDENT,
     ParseStatus,
     ResponseLog,
     ResponseMatrix,
@@ -85,10 +86,6 @@ EVALUATION_JSON_NAME = "evaluation.json"
 EVALUATION_CSV_NAME = "evaluation.csv"
 REPORT_NAME = "report.md"
 CAPTURE_NAME = "capture.jsonl"
-
-# Request rows that do not belong to a simulated student (expert solves,
-# percentage estimates) carry this index so keys stay totally ordered.
-NO_STUDENT = -1
 
 _DPCE_VARIANTS = {
     # variant -> (temperature, replicates)
@@ -266,7 +263,9 @@ def build_manifest(
 
 
 def _json_text(payload: Mapping[str, object]) -> str:
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    """Strict JSON: a NaN or infinity, at any depth, is written as null."""
+    plain = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    return json.dumps(plain, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -377,7 +376,7 @@ class RequestFailed(RuntimeError):
 
 
 def _prepare_out_dir(
-    config: ExperimentConfig, out_dir: Optional[Union[str, Path]], manifest: Dict[str, object]
+    out_dir: Optional[Union[str, Path]], manifest: Dict[str, object]
 ) -> Tuple[Optional[Path], Optional[ResponseLog], List[SimulatedResponse]]:
     """Create or re-enter a run directory; refuse one built from a
     different configuration. An unchanged manifest is not rewritten, so
@@ -404,7 +403,7 @@ def _prepare_out_dir(
 def _count_statuses(responses: Sequence[SimulatedResponse]) -> Dict[str, int]:
     counts = {status.value: 0 for status in ParseStatus}
     for response in responses:
-        counts[response.parse_status] = counts.get(response.parse_status, 0) + 1
+        counts[response.parse_status] += 1
     return counts
 
 
@@ -486,7 +485,7 @@ def _collect(
     manifest = build_manifest(
         config, templates, len(corpus), n_students, n_requests, names_repeat
     )
-    out_path, log, responses = _prepare_out_dir(config, out_dir, manifest)
+    out_path, log, responses = _prepare_out_dir(out_dir, manifest)
     gateway = Gateway(
         backend, max_retries=config.max_retries, max_in_flight=config.max_in_flight
     )
@@ -698,7 +697,7 @@ def run_baseline(
         return outcome
     per_item = {r.item_id: float(r.correct) for r in outcome.responses}
     outcome.predictions = {item.item_id: per_item[item.item_id] for item in corpus}
-    accuracy = sum(per_item.values()) / len(per_item) if per_item else float("nan")
+    accuracy = sum(per_item.values()) / len(per_item)
     _write_predictions(outcome, {"predictions": outcome.predictions, "accuracy": accuracy})
     return outcome
 
@@ -813,11 +812,9 @@ def evaluate_run(
                 label: _correlation_payload(result, "t")
                 for label, result in sorted(subgroup.items())
             }
-        fit_path = run_path / FIT_NAME
-        if fit_path.exists():
-            keep = ("beta", "converged", "iterations", "log_likelihood")
-            fit = _read_json(fit_path, **{name: _FIT_HINTS[name] for name in keep})
-            evaluation["fit"] = {name: fit[name] for name in keep}
+        keep = ("beta", "converged", "iterations", "log_likelihood")
+        fit = _read_json(run_path / FIT_NAME, **{name: _FIT_HINTS[name] for name in keep})
+        evaluation["fit"] = {name: fit[name] for name in keep}
 
     _write_json(run_path / EVALUATION_JSON_NAME, evaluation)
     _write_evaluation_csv(run_path / EVALUATION_CSV_NAME, predictions, corpus)
@@ -887,15 +884,7 @@ def run_ensemble(
 
 
 def _format_float(value: object) -> str:
-    if value is None:
-        return "-"
-    try:
-        number = float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        return str(value)
-    if math.isnan(number):
-        return "nan"
-    return f"{number:.4f}"
+    return "-" if value is None else f"{float(value):.4f}"  # type: ignore[arg-type]
 
 
 def _table(header: Sequence[str], rows: Iterable[Sequence[object]]) -> List[str]:
@@ -913,11 +902,11 @@ def _correlation_row(label: str, block: Mapping[str, object]) -> Tuple[object, .
 
 @contextmanager
 def _reading(path: Path) -> Iterator[None]:
-    """Turn a KeyError, TypeError or AttributeError that the block raises
-    while it reads the content of ``path`` into a ValueError naming it."""
+    """Turn a KeyError, TypeError, AttributeError or ValueError raised while
+    the block reads the content of ``path`` into a ValueError naming it."""
     try:
         yield
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed content: {type(exc).__name__}: {exc}") from None
 
 
@@ -927,7 +916,7 @@ def render_report(run_dir: Union[str, Path]) -> str:
     evaluation_path = run_path / EVALUATION_JSON_NAME
     if not evaluation_path.exists():
         evaluate_run(run_path)
-    evaluation = _read_json(evaluation_path, metrics=dict)
+    evaluation = _read_json(evaluation_path, metrics=dict, parse_counts=dict)
     manifest, config = _read_manifest(run_path, counts=dict, manifest_hash=str, mode=str)
     lines: List[str] = []
     lines.append(f"# Run report: {manifest['mode']}")
@@ -955,12 +944,11 @@ def render_report(run_dir: Union[str, Path]) -> str:
                 (name, _format_float(block["auc"]), "-", f"{block['n_hard']}+{block['n_other']}")
             )
         lines.extend(_table(("metric", "value", "p", "n"), rows))
-        if "parse_counts" in evaluation:
-            lines.append("")
-            lines.append("## Parsing")
-            lines.append("")
-            for status, count in sorted(evaluation["parse_counts"].items()):
-                lines.append(f"- {status}: {count}")
+        lines.append("")
+        lines.append("## Parsing")
+        lines.append("")
+        for status, count in sorted(evaluation["parse_counts"].items()):
+            lines.append(f"- {status}: {count}")
         if "skill_correctness" in evaluation:
             lines.append("")
             lines.append("## Correctness by skill")

@@ -16,6 +16,7 @@ import itertools
 import json
 import os
 import re
+import sys
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -40,6 +41,10 @@ _PERCENT_MARKER_RE = re.compile(
 )
 _OBJECT_SPAN_RE = re.compile(r"\{[^{}]*\}", re.DOTALL)
 _LETTER_LINE_RE = re.compile(r"^[\s\(\[]*([A-Za-z])[\s\)\]\.:,]*$")
+
+# Request rows that do not belong to a simulated student (expert solves,
+# percentage estimates) carry this index so keys stay totally ordered.
+NO_STUDENT = -1
 
 
 class ParseStatus(str, Enum):
@@ -178,15 +183,22 @@ class SimulatedResponse:
     @classmethod
     def from_record(cls, record: object) -> "SimulatedResponse":
         """The response one log record holds; a ValueError naming the field
-        unless the record is an object with every field, each of its type."""
+        unless the record is an object with every field of its type and domain."""
         if not isinstance(record, dict):
             raise ValueError(f"response record must be an object, got {record!r}")
         values = [record.get(name, _MISSING) for name in _RECORD_TYPES]
-        if tuple(map(type, values)) not in _RECORD_ROWS:
+        _, student, replicate, _, _, _, correct, status = values
+        # the row test first, so the domain tests see exact ints
+        if tuple(map(type, values)) not in _RECORD_ROWS or not (
+            student in _STUDENTS and replicate in _REPLICATES and (correct, status) in _GRADED
+        ):
             for (name, kinds), value in zip(_RECORD_TYPES.items(), values):
                 if value is _MISSING:
                     raise ValueError(f"response record is missing field {name!r}")
                 check_kind(f"response field {name!r}", value, kinds)
+                domain, rule = _RECORD_DOMAINS.get(name, ((value,), ""))
+                if value not in domain:
+                    raise ValueError(f"response field {name!r} must be {rule}, got {value!r}")
         return cls(*values)
 
     @property
@@ -202,6 +214,17 @@ _RECORD_TYPES: Dict[str, Tuple[type, ...]] = {
 }
 # Every valid row of field types, so a good record costs one set lookup.
 _RECORD_ROWS = set(itertools.product(*_RECORD_TYPES.values()))
+# The values a bounded field may hold; the ranges end where the number rule does.
+_STUDENTS = range(NO_STUDENT, int(sys.float_info.max) + 1)
+_REPLICATES = range(int(sys.float_info.max) + 1)
+_STATUSES = [status.value for status in ParseStatus]
+_GRADED = set(itertools.product((0, 1), _STATUSES))  # (correct, parse_status)
+_RECORD_DOMAINS = {  # field: (its domain, as its error states it)
+    "student_index": (_STUDENTS, f"at least {NO_STUDENT}"),
+    "replicate": (_REPLICATES, "at least 0"),
+    "correct": ((0, 1), "0 or 1"),
+    "parse_status": (_STATUSES, f"one of {_STATUSES}"),
+}
 
 
 # json.dumps builds a new encoder per call for any non-default option
@@ -231,8 +254,6 @@ class ResponseLog:
         consumed; a ValueError naming the file line, once it is reached,
         unless that line (blank, torn and non-UTF-8 ones included) is one
         record. The file closes when the iterator is exhausted or dropped."""
-        if not os.path.exists(self.path):
-            return
         # as bytes, only b"\n" ends a line: a raw reply may hold U+2028,
         # which str.splitlines would break on
         with open(self.path, "rb") as handle:
@@ -251,12 +272,12 @@ class ResponseLog:
         return list(self.records())
 
     def open_resumable(self) -> List[SimulatedResponse]:
-        """:meth:`read_all` after cutting a torn final line off in place."""
-        if os.path.exists(self.path):
-            with open(self.path, "rb+") as handle:
-                blob = handle.read()
-                if blob and not blob.endswith(b"\n"):
-                    handle.truncate(blob.rfind(b"\n") + 1)
+        """:meth:`read_all` after cutting a torn final line off, or creating an empty log."""
+        with open(self.path, "ab+") as handle:
+            handle.seek(0)
+            blob = handle.read()
+            if blob and not blob.endswith(b"\n"):
+                handle.truncate(blob.rfind(b"\n") + 1)
         return self.read_all()
 
     def append_batch(self, responses: Sequence[SimulatedResponse]) -> None:
@@ -323,6 +344,7 @@ def build_matrix(
     the graded score, with an exact tie scored 0: a student who is right
     only half the time has not reliably answered the item. Failed parses
     count as incorrect unless ``mask_failed`` hides those cells entirely.
+    A counted reply graded other than 0 or 1 is a ValueError.
     """
     column: Dict[str, int] = {item_id: j for j, item_id in enumerate(item_ids)}
     width = len(column)
@@ -330,8 +352,6 @@ def build_matrix(
     seen: Dict[int, Tuple[int, str]] = {}
     cells = array("q")  # the cell of every counted reply, row-major
     ones = array("q")  # the cells of the replies graded 1
-    # a cell's summed grades other than 0 and 1, as exact Python ints
-    other: Dict[int, int] = {}
     failed = ParseStatus.FAILED.value
     for response in responses:
         j = column.get(response.item_id)
@@ -350,13 +370,11 @@ def build_matrix(
         if response.correct == 1:
             ones.append(cell)
         elif response.correct != 0:
-            other[cell] = other.get(cell, 0) + response.correct
+            raise ValueError(f"reply {tuple(response.key)} is graded {response.correct!r}")
     size = len(seen) * width
     counts = np.bincount(np.frombuffer(cells, dtype=np.int64), minlength=size)
     scores = np.bincount(np.frombuffer(ones, dtype=np.int64), minlength=size)
     majority = 2 * scores > counts
-    for cell, extra in other.items():
-        majority[cell] = 2 * (int(scores[cell]) + extra) > int(counts[cell])
     students = tuple(sorted(seen))
     rows = [seen[student_index][0] for student_index in students]
     return ResponseMatrix(

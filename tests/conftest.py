@@ -12,6 +12,21 @@ CONTENT_AREAS = (
 
 DIFFICULTIES = ("Easy", "Medium", "Hard")
 
+# (field, value) pairs that no log record classim writes can hold
+OUT_OF_DOMAIN = [
+    ("correct", 2),
+    ("correct", -1),
+    ("correct", 10**30),
+    ("student_index", -2),
+    ("student_index", 10**400),
+    ("replicate", -1),
+    ("parse_status", "bogus"),
+]
+OUT_OF_DOMAIN_IDS = [
+    "correct-2", "correct-minus-1", "correct-1e30", "student-minus-2", "student-1e400",
+    "replicate-minus-1", "status-bogus",
+]
+
 
 def make_item_record(
     index,

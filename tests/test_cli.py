@@ -10,7 +10,7 @@ from classim.cli import build_parser, main
 from classim.orchestrator import ExperimentConfig
 from classim.gateway import MockStudentModel
 
-from conftest import make_item_record, write_corpus
+from conftest import OUT_OF_DOMAIN, OUT_OF_DOMAIN_IDS, make_item_record, write_corpus
 
 
 @pytest.fixture(scope="module")
@@ -434,6 +434,10 @@ def _predict(item_id, value):
          "'predictions' must map"),
         ("evaluate", "predictions.json", _predict("g8-0001", 10**400), "'predictions' must map"),
         ("ensemble", "predictions.json", _predict("g8-0001", 10**400), "'predictions' must map"),
+        ("report", "evaluation.json",
+         _set_in("metrics", "pearson", {"r": "high", "p_value": None, "n": 6}),
+         "malformed content: ValueError"),
+        ("report", "evaluation.json", _drop("parse_counts"), "missing field 'parse_counts'"),
     ],
     ids=[
         "fit-field", "fit-list", "predictions-field", "predictions-json",
@@ -444,6 +448,7 @@ def _predict(item_id, value):
         "report-fit-beta-number", "report-metrics-list", "report-counts-number",
         "fit-beta-list", "predictions-parse-counts-number", "predictions-nan",
         "ensemble-predictions-nan", "predictions-huge", "ensemble-predictions-huge",
+        "report-r-string", "report-parse-counts",
     ],
 )
 def test_unreadable_run_file_is_a_one_line_error(
@@ -571,6 +576,72 @@ def test_evaluate_stops_at_a_corrupt_line_and_writes_no_evaluation(
     assert rc == 2 and f"{log}:{n + 1}: corrupt response line: " in err
     after = {path.name: path.read_bytes() for path in out.iterdir()}
     assert after == {**before, "responses.jsonl": torn}
+
+
+@pytest.mark.parametrize("field, value", OUT_OF_DOMAIN, ids=OUT_OF_DOMAIN_IDS)
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+def test_a_record_outside_its_domain_stops_resume_and_evaluate(
+    command, field, value, corpus_path, tmp_path, capsys, monkeypatch
+):
+    out = tmp_path / "run"
+    argv = ["simulate", "--corpus", corpus_path, "--mock", "--n", "10", "--out", str(out)]
+    assert run_cli(*argv) == 0
+    log = out / "responses.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    if command == "simulate":
+        lines = lines[:20]  # an interrupted run, which a rerun would continue
+    lines[4] = json.dumps({**json.loads(lines[4]), field: value}) + "\n"
+    log.write_text("".join(lines), encoding="utf-8")
+    before = log.read_bytes()
+    calls = []
+    monkeypatch.setattr(MockStudentModel, "complete", lambda self, request: calls.append(request))
+    capsys.readouterr()
+    rc = run_cli(*(["evaluate", "--run", str(out)] if command == "evaluate" else argv))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {log}:5: corrupt response line: response field '{field}' ")
+    assert err.count("\n") == 1
+    assert calls == [] and log.read_bytes() == before
+    assert not (out / "evaluation.json").exists()
+
+
+@pytest.mark.parametrize("name", ["responses.jsonl", "fit.json"])
+def test_evaluate_of_a_simulate_run_needs_its_log_and_fit(name, corpus_path, tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["simulate", "--corpus", corpus_path, "--mock", "--n", "10", "--out", str(out)]
+    assert run_cli(*argv) == 0
+    (out / name).unlink()
+    capsys.readouterr()
+    rc = run_cli("evaluate", "--run", str(out))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out / name) in err
+    assert not (out / "evaluation.json").exists()
+
+
+def test_an_undefined_correlation_is_written_as_null(corpus_path, tmp_path, capsys):
+    out = tmp_path / "dpce"
+    config = tmp_path / "constant.json"
+    config.write_text(
+        json.dumps({"corpus_path": corpus_path, "mock": True,
+                    "mock_options": {"dpce_constant": 0.5}}),
+        encoding="utf-8",
+    )
+    assert run_cli("dpce", "--config", str(config), "--out", str(out)) == 0
+    assert run_cli("report", "--run", str(out)) == 0
+    blend = tmp_path / "blend.json"
+    assert run_cli("ensemble", "--runs", str(out), "--out", str(blend)) == 0
+
+    def strict(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    for path in (out / "evaluation.json", blend):
+        payload = json.loads(path.read_text(encoding="utf-8"), parse_constant=strict)
+        assert payload["metrics"]["pearson"]["r"] is None
+        assert payload["metrics"]["pearson"]["p_value"] is None
+    report = (out / "report.md").read_text(encoding="utf-8")
+    assert "| pearson | - | - | 6 |" in report
 
 
 @pytest.mark.parametrize("which", ["config", "corpus", "predictions"])

@@ -462,6 +462,8 @@ class TestDistractorMatch:
         result = distractor_match(responses, corpus)
         assert result.n_items == 0
         assert math.isnan(result.match_rate)
+        assert math.isnan(result.chance_wrong_only) and math.isnan(result.chance_all_choices)
+        assert result.model_ties == result.observed_ties == 0
 
 
     def test_the_tally_passes_every_reply_through_and_counts_wrong_choices(self):

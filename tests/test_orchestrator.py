@@ -36,6 +36,7 @@ from classim.orchestrator import (
     run_ensemble,
     run_simulate,
     _FIELD_TYPES,
+    _json_text,
     _write_json,
 )
 from classim.promptgen import PromptTemplates
@@ -895,3 +896,13 @@ class TestReport:
 
     def test_rerender_is_stable(self, world):
         assert render_report(world["run_dir"]) == render_report(world["run_dir"])
+
+
+def test_json_artifacts_are_strict_and_write_null_for_a_number_that_is_not_finite():
+    payload = {"r": float("nan"), "rows": [1.5, float("inf"), {"low": -float("inf")}],
+               "big": 10**20, "text": "NaN"}
+    assert json.loads(_json_text(payload)) == {
+        "r": None, "rows": [1.5, None, {"low": None}], "big": 10**20, "text": "NaN",
+    }
+    finite = {"x": 0.1, "rows": [1e16, -0.0, 2**70, (1, 2)], "name": "café", "none": None}
+    assert _json_text(finite) == json.dumps(finite, indent=2, ensure_ascii=False) + "\n"
