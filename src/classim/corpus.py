@@ -13,24 +13,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Optional, Tuple, Union, get_args, get_origin
+from typing import Any, Dict, Iterable, Optional, Tuple, Union, get_args, get_origin
 
 VALID_GRADES = (4, 8, 12)
 DIFFICULTY_LABELS = ("Easy", "Medium", "Hard")
-
-_KNOWN_FIELDS = {
-    "item_id",
-    "grade",
-    "content_area",
-    "difficulty",
-    "stem",
-    "choices",
-    "correct_key",
-    "real_percent_correct",
-    "real_choice_distribution",
-    "real_subgroup_percent_correct",
-}
-
 
 class ContentArea(str, Enum):
     ALGEBRA = "Algebra"
@@ -73,12 +59,13 @@ class CorpusParseError(CorpusError):
 
 
 class CorpusValidationError(CorpusError):
-    """A record violates an item invariant."""
+    """A record violates an item invariant; ``item`` is its item_id, or its
+    0-based position in the file when it has no usable item_id."""
 
-    def __init__(self, item_id: str, field_name: str, message: str):
-        self.item_id = item_id
+    def __init__(self, item: Union[str, int], field_name: str, message: str):
         self.field_name = field_name
-        super().__init__(f"item {item_id!r}, field {field_name!r}: {message}")
+        where = f"item {item!r}" if isinstance(item, str) else f"record [{item}]"
+        super().__init__(f"{where}, field {field_name!r}: {message}")
 
 
 @dataclass(frozen=True)
@@ -133,12 +120,6 @@ def parse_content_area(raw: str) -> ContentArea:
         return _CONTENT_ALIASES[key]
     except KeyError:
         raise ValueError(f"unknown content area {raw!r}") from None
-
-
-def _require(record: dict, item_id: str, field_name: str):
-    if field_name not in record:
-        raise CorpusValidationError(item_id, field_name, "missing required field")
-    return record[field_name]
 
 
 def is_number(value: object) -> bool:
@@ -196,129 +177,130 @@ def read_json(path: str | Path, kind: type, what: str, error: type = ValueError)
     return payload
 
 
-def _validate_item(record: dict) -> Item:
+# The JSON kinds of an item record's fields, as the file spells them; a
+# field that may be null may also be absent. Other fields ride along in
+# ``Item.extra``.
+_RECORD_KINDS: Dict[str, Tuple[type, ...]] = {
+    "item_id": (str,),
+    "grade": (int,),
+    "content_area": (str,),
+    "difficulty": (str,),
+    "stem": (str,),
+    "choices": (list,),
+    "correct_key": (str,),
+    "real_percent_correct": (float, int),
+    "real_choice_distribution": (dict, type(None)),
+    "real_subgroup_percent_correct": (dict, type(None)),
+}
+
+
+def _fractions(
+    item_id: str, field_name: str, rates: Optional[dict], label: str, most: float
+) -> Optional[Dict[str, float]]:
+    """``rates`` with float values; an error naming the entry unless each
+    value is a number in [0, ``most``]."""
+    if rates is None:
+        return None
+    for key, value in rates.items():
+        if not (is_number(value) and 0.0 <= value <= most):
+            message = f"{label} {key!r} must be a number in [0, {most}], got {value!r}"
+            raise CorpusValidationError(item_id, field_name, message)
+    return {key: float(value) for key, value in rates.items()}
+
+
+def _validate_item(record: object, position: int) -> Item:
     if not isinstance(record, dict):
-        raise CorpusValidationError("<unknown>", "record", "item record must be an object")
+        raise CorpusValidationError(position, "record", f"must be an object, got {record!r}")
     item_id = record.get("item_id")
     if not isinstance(item_id, str) or not item_id:
-        raise CorpusValidationError(str(item_id), "item_id", "must be a non-empty string")
+        message = f"must be a non-empty string, got {item_id!r}"
+        raise CorpusValidationError(position, "item_id", message)
 
-    grade = _require(record, item_id, "grade")
+    def fail(field_name: str, message: str) -> CorpusValidationError:
+        return CorpusValidationError(item_id, field_name, message)
+
+    for name, kinds in _RECORD_KINDS.items():
+        if name not in record and type(None) not in kinds:
+            raise fail(name, "missing required field")
+        try:
+            check_kind("value", record.get(name), kinds)
+        except ValueError as exc:
+            raise fail(name, str(exc)) from None
+
+    grade, difficulty, stem = record["grade"], record["difficulty"], record["stem"]
     if grade not in VALID_GRADES:
-        raise CorpusValidationError(item_id, "grade", f"grade {grade!r} not in {VALID_GRADES}")
-
-    raw_area = _require(record, item_id, "content_area")
+        raise fail("grade", f"grade {grade!r} not in {VALID_GRADES}")
     try:
-        area = parse_content_area(str(raw_area))
+        area = parse_content_area(record["content_area"])
     except ValueError as exc:
-        raise CorpusValidationError(item_id, "content_area", str(exc)) from None
-
-    difficulty = _require(record, item_id, "difficulty")
+        raise fail("content_area", str(exc)) from None
     if difficulty not in DIFFICULTY_LABELS:
-        raise CorpusValidationError(
-            item_id, "difficulty", f"{difficulty!r} not in {DIFFICULTY_LABELS}"
-        )
+        raise fail("difficulty", f"{difficulty!r} not in {DIFFICULTY_LABELS}")
+    if not stem.strip():
+        raise fail("stem", "must be non-empty text")
 
-    stem = _require(record, item_id, "stem")
-    if not isinstance(stem, str) or not stem.strip():
-        raise CorpusValidationError(item_id, "stem", "must be non-empty text")
-
-    raw_choices = _require(record, item_id, "choices")
-    if not isinstance(raw_choices, list) or not (4 <= len(raw_choices) <= 5):
-        raise CorpusValidationError(item_id, "choices", "need 4 or 5 answer choices")
-    choices = []
+    raw_choices = record["choices"]
+    if not 4 <= len(raw_choices) <= 5:
+        raise fail("choices", "need 4 or 5 answer choices")
     for pos, entry in enumerate(raw_choices):
-        if not isinstance(entry, dict) or "letter" not in entry or "text" not in entry:
-            raise CorpusValidationError(
-                item_id, "choices", f"choice #{pos} must be an object with letter and text"
-            )
-        choices.append((str(entry["letter"]), str(entry["text"])))
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("letter"), str)
+            and isinstance(entry.get("text"), str)
+        ):
+            raise fail("choices", f"choice #{pos} must be an object with string letter and text")
+    choices = tuple((entry["letter"], entry["text"]) for entry in raw_choices)
     letters = [letter for letter, _ in choices]
     expected = [chr(ord("A") + i) for i in range(len(letters))]
     if letters != expected:
-        raise CorpusValidationError(
-            item_id,
-            "choices",
-            f"letters must be consecutive from A (got {letters}, expected {expected})",
-        )
-
-    correct_key = _require(record, item_id, "correct_key")
+        message = f"letters must be consecutive from A (got {letters}, expected {expected})"
+        raise fail("choices", message)
+    correct_key = record["correct_key"]
     if correct_key not in letters:
-        raise CorpusValidationError(
-            item_id, "correct_key", f"correct key {correct_key!r} absent from choices {letters}"
-        )
+        raise fail("correct_key", f"correct key {correct_key!r} absent from choices {letters}")
+    rate = record["real_percent_correct"]
+    if not 0.0 <= rate <= 1.0:
+        raise fail("real_percent_correct", f"must be a fraction in [0,1], got {rate!r}")
 
-    rate = _require(record, item_id, "real_percent_correct")
-    if not is_number(rate) or not (0.0 <= float(rate) <= 1.0):
-        raise CorpusValidationError(
-            item_id, "real_percent_correct", f"must be a fraction in [0,1], got {rate!r}"
-        )
-
-    distribution = record.get("real_choice_distribution")
+    # a share past the sum's upper tolerance cannot pass the sum check below
+    distribution = _fractions(
+        item_id, "real_choice_distribution", record.get("real_choice_distribution"),
+        "share of", 1.01,
+    )
     if distribution is not None:
-        if not isinstance(distribution, dict):
-            raise CorpusValidationError(
-                item_id, "real_choice_distribution", "must be a letter -> fraction map"
-            )
         unknown = set(distribution) - set(letters)
         if unknown:
-            raise CorpusValidationError(
-                item_id, "real_choice_distribution", f"letters {sorted(unknown)} not among choices"
-            )
+            raise fail("real_choice_distribution", f"letters {sorted(unknown)} not among choices")
         if correct_key not in distribution:
-            raise CorpusValidationError(
-                item_id, "real_choice_distribution", f"missing correct key {correct_key!r}"
-            )
-        for letter, share in distribution.items():
-            if not is_number(share) or share < 0.0:
-                message = f"share of {letter!r} must be a non-negative number, got {share!r}"
-                raise CorpusValidationError(item_id, "real_choice_distribution", message)
-        values = {k: float(v) for k, v in distribution.items()}
-        total = sum(values.values())
+            raise fail("real_choice_distribution", f"missing correct key {correct_key!r}")
+        total = sum(distribution.values())
         # NAEP tables round per-choice fractions; absorb that, reject worse.
         if not (0.99 <= total <= 1.01):
-            raise CorpusValidationError(
-                item_id,
-                "real_choice_distribution",
-                f"fractions sum to {total:.4f}, outside [0.99, 1.01]",
-            )
-        distribution = {k: v / total for k, v in values.items()}
-
-    subgroups = record.get("real_subgroup_percent_correct")
-    if subgroups is not None:
-        if not isinstance(subgroups, dict):
-            raise CorpusValidationError(
-                item_id, "real_subgroup_percent_correct", "must be a name -> fraction map"
-            )
-        for name, value in subgroups.items():
-            if not is_number(value) or not (0.0 <= float(value) <= 1.0):
-                raise CorpusValidationError(
-                    item_id,
-                    "real_subgroup_percent_correct",
-                    f"subgroup {name!r} value {value!r} not a fraction in [0,1]",
-                )
-        subgroups = {str(k): float(v) for k, v in subgroups.items()}
-
-    extra = {k: v for k, v in record.items() if k not in _KNOWN_FIELDS}
+            message = f"fractions sum to {total:.4f}, outside [0.99, 1.01]"
+            raise fail("real_choice_distribution", message)
+        distribution = {k: v / total for k, v in distribution.items()}
 
     return Item(
         item_id=item_id,
-        grade=int(grade),
+        grade=grade,
         content_area=area,
-        difficulty_label=str(difficulty),
+        difficulty_label=difficulty,
         stem=stem,
-        choices=tuple(choices),
-        correct_key=str(correct_key),
+        choices=choices,
+        correct_key=correct_key,
         real_percent_correct=float(rate),
         real_choice_distribution=distribution,
-        real_subgroup_percent_correct=subgroups,
-        extra=extra,
+        real_subgroup_percent_correct=_fractions(
+            item_id, "real_subgroup_percent_correct",
+            record.get("real_subgroup_percent_correct"), "subgroup", 1,
+        ),
+        extra={k: v for k, v in record.items() if k not in _RECORD_KINDS},
     )
 
 
-def parse_corpus_records(records: Iterable[dict]) -> Corpus:
+def parse_corpus_records(records: Iterable[object]) -> Corpus:
     """Validate already-decoded item records into a corpus."""
-    return Corpus(_validate_item(record) for record in records)
+    return Corpus(_validate_item(record, position) for position, record in enumerate(records))
 
 
 def load_corpus(path: str | Path) -> Corpus:

