@@ -170,6 +170,8 @@ def read_json(path: str | Path, kind: type, what: str, error: type = ValueError)
             raise error(
                 f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from None
+        except RecursionError:
+            raise error(f"{path}: invalid JSON: nested too deeply") from None
         except UnicodeDecodeError as exc:
             raise error(f"{path}: not UTF-8 text: {exc}") from None
     if not isinstance(payload, kind):

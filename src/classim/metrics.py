@@ -18,7 +18,7 @@ from scipy.special import stdtr
 
 from .corpus import Corpus
 from .irt import SufficientStats
-from .responses import ParseStatus, ResponseMatrix, SimulatedResponse
+from .responses import ResponseMatrix, SimulatedResponse
 from .rng import SplitMix64, derive_seed, splitmix64_block
 
 PERMUTATION_ROUNDS = 10000  # shuffles behind every permutation p-value
@@ -306,15 +306,10 @@ def tally_wrong_choices(
     responses: Iterable[SimulatedResponse], counts: Dict[str, Dict[str, int]]
 ) -> Iterator[SimulatedResponse]:
     """Pass ``responses`` through unchanged, adding each wrong choice to
-    ``counts[item_id][letter]``: a reply that parsed to a letter and was
-    graded incorrect. Failed parses and unanswered replies do not count."""
-    failed = ParseStatus.FAILED.value
+    ``counts[item_id][letter]``: a reply that holds a letter and is graded
+    incorrect. Unanswered replies, failed parses among them, do not count."""
     for response in responses:
-        if (
-            response.parse_status != failed
-            and response.chosen is not None
-            and response.correct != 1
-        ):
+        if response.chosen is not None and response.correct != 1:
             picked = counts.setdefault(response.item_id, {})
             picked[response.chosen] = picked.get(response.chosen, 0) + 1
         yield response

@@ -73,7 +73,6 @@ from .responses import (
     build_matrix,
     direct_estimates,
     grade as grade_answer,
-    grade_disagreement,
     parse_answer,
     parse_percentage,
 )
@@ -377,11 +376,11 @@ class RequestFailed(RuntimeError):
 
 
 def _prepare_out_dir(
-    out_dir: Optional[Union[str, Path]], manifest: Dict[str, object]
+    out_dir: Optional[Union[str, Path]], manifest: Dict[str, object], items: Mapping[str, Item]
 ) -> Tuple[Optional[Path], Optional[ResponseLog], List[SimulatedResponse]]:
-    """Create or re-enter a run directory; refuse one built from a
-    different configuration. An unchanged manifest is not rewritten, so
-    a rerun cannot leave it truncated."""
+    """Create or re-enter a run directory, reading its log as graded by
+    ``items``; refuse one built from a different configuration. An
+    unchanged manifest is not rewritten, so a rerun cannot leave it truncated."""
     if out_dir is None:
         return None, None, []
     out_path = Path(out_dir)
@@ -398,7 +397,7 @@ def _prepare_out_dir(
     if not manifest_path.exists() or manifest_path.read_bytes() != text.encode("utf-8"):
         _write_text(manifest_path, text)
     log = ResponseLog(str(out_path / RESPONSES_NAME))
-    return out_path, log, log.open_resumable()
+    return out_path, log, log.open_resumable(items)
 
 
 def _count_statuses(responses: Sequence[SimulatedResponse]) -> Dict[str, int]:
@@ -464,11 +463,12 @@ def _collect(
     its retries stops the run with :class:`RequestFailed`; only the
     replies before it are logged, so a rerun asks for it again, and the
     stream's queued requests are never sent. A rerun checks that the log
-    is the plan's first requests, in order, before it sends any request,
-    and continues the plan after them. With ``config.capture`` every
-    record this call receives, the failed one included, is appended to
-    ``capture.jsonl`` in the same plan order. ``max_requests`` stops after
-    that many new completions (used to exercise resumption).
+    is the plan's first requests, in order and graded as the corpus
+    grades them, before it sends any request, and continues the plan
+    after them. With ``config.capture`` every record this call receives,
+    the failed one included, is appended to ``capture.jsonl`` in the same
+    plan order. ``max_requests`` stops after that many new completions
+    (used to exercise resumption).
     """
     corpus = _load_run_corpus(config)
     templates = PromptTemplates.load()
@@ -486,7 +486,7 @@ def _collect(
     manifest = build_manifest(
         config, templates, len(corpus), n_students, n_requests, names_repeat
     )
-    out_path, log, responses = _prepare_out_dir(out_dir, manifest)
+    out_path, log, responses = _prepare_out_dir(out_dir, manifest, corpus.by_id)
     gateway = Gateway(
         backend, max_retries=config.max_retries, max_in_flight=config.max_in_flight
     )
@@ -500,16 +500,13 @@ def _collect(
 
     cells = plan()
     for line, response in enumerate(responses, start=1):
-        key, item, _ = next(cells, (None, None, None))
+        key = next(cells, (None,))[0]
         if response.key != key:
             where = "past the plan's end" if key is None else f"where the plan has {tuple(key)}"
             raise ValueError(
                 f"{log.path}:{line}: logged reply {tuple(response.key)} {where}; "
                 "a resumed log must be a prefix of this run's plan"
             )
-        problem = grade_disagreement(response, item)
-        if problem is not None:
-            raise ValueError(f"{log.path}:{line}: {problem}")
     requests = (
         CompletionRequest(
             prompt=render(item, seat, templates),

@@ -85,23 +85,22 @@ def _answer_from_mapping(obj: object) -> Tuple[bool, Optional[str]]:
     return True, value if isinstance(value, str) else None
 
 
-def _json_candidates(text: str) -> Iterable[object]:
-    stripped = text.strip()
+def _decode(text: str) -> object:
+    """``text`` as JSON, else as a Python literal, else None, catching what
+    either loader raises on text it cannot decode, however deeply nested."""
     for loader in (json.loads, ast.literal_eval):
         try:
-            yield loader(stripped)
-            break
-        except (ValueError, SyntaxError, TypeError):
-            continue
+            return loader(text)
+        except (ValueError, SyntaxError, TypeError, MemoryError, RecursionError):
+            pass
+    return None
+
+
+def _json_candidates(text: str) -> Iterator[object]:
+    yield _decode(text.strip())
     # Scan embedded object spans, last span first so corrections win.
     for match in reversed(list(_OBJECT_SPAN_RE.finditer(text))):
-        span = match.group(0)
-        for loader in (json.loads, ast.literal_eval):
-            try:
-                yield loader(span)
-                break
-            except (ValueError, SyntaxError, TypeError):
-                continue
+        yield _decode(match.group(0))
 
 
 def parse_answer(text: str, valid_letters: Sequence[str]) -> ParsedAnswer:
@@ -277,9 +276,10 @@ class ResponseLog:
     def records(self, items: Mapping[str, Item]) -> Iterator[SimulatedResponse]:
         """Each record in file order, one per file line, read as it is
         consumed; a ValueError naming the file line, once it is reached,
-        unless that line (blank, torn and non-UTF-8 ones included) is one
-        record, with no :func:`grade_disagreement` if its item is in
-        ``items``. The file closes when the iterator is exhausted or dropped."""
+        unless that line (blank, torn, non-UTF-8 and too deeply nested ones
+        included) is one record, with no :func:`grade_disagreement` if its
+        item is in ``items``. The file closes when the iterator is
+        exhausted or dropped."""
         # as bytes, only b"\n" ends a line: a raw reply may hold U+2028,
         # which str.splitlines would break on
         with open(self.path, "rb") as handle:
@@ -287,7 +287,7 @@ class ResponseLog:
                 try:
                     record = json.loads(line.decode("utf-8"))
                     response = SimulatedResponse.from_record(record)
-                except ValueError as exc:  # UnicodeDecodeError is one
+                except (ValueError, RecursionError) as exc:  # UnicodeDecodeError too
                     raise ValueError(
                         f"{self.path}:{lineno}: corrupt response line: {exc}"
                     ) from None
@@ -297,18 +297,18 @@ class ResponseLog:
                     raise ValueError(f"{self.path}:{lineno}: {problem}")
                 yield response
 
-    def read_all(self) -> List[SimulatedResponse]:
-        """Every record of :meth:`records`, in one list, checked against no item."""
-        return list(self.records({}))
+    def read_all(self, items: Mapping[str, Item]) -> List[SimulatedResponse]:
+        """Every record of :meth:`records`, in one list."""
+        return list(self.records(items))
 
-    def open_resumable(self) -> List[SimulatedResponse]:
+    def open_resumable(self, items: Mapping[str, Item]) -> List[SimulatedResponse]:
         """:meth:`read_all` after cutting a torn final line off, or creating an empty log."""
         with open(self.path, "ab+") as handle:
             handle.seek(0)
             blob = handle.read()
             if blob and not blob.endswith(b"\n"):
                 handle.truncate(blob.rfind(b"\n") + 1)
-        return self.read_all()
+        return self.read_all(items)
 
     def append_batch(self, responses: Sequence[SimulatedResponse]) -> None:
         if not responses:

@@ -132,12 +132,13 @@ class TestSimulateCommand:
             ),
             (json.dumps([make_item_record(0), 5]), "record [1], field 'record'"),
             ('[{"grade": 8}]', "record [0], field 'item_id'"),
+            ("[" * 100_000, "bad.json: invalid JSON: nested too deeply"),
         ],
         ids=[
             "missing-field", "broken-json", "null-share", "string-share", "true-share",
             "true-rate", "true-subgroup-rate", "huge-rate", "nan-share", "null-choice-text",
             "number-choice-text", "object-choice-text", "list-content-area", "float-grade",
-            "number-correct-key", "non-object-record", "no-item-id",
+            "number-correct-key", "non-object-record", "no-item-id", "nested-too-deeply",
         ],
     )
     def test_bad_corpus_is_a_one_line_error(self, text, named, tmp_path, capsys):
@@ -156,8 +157,9 @@ class TestSimulateCommand:
         [
             ("{not json", "invalid JSON at line 1, column 2"),
             ("[1, 2]", "config file must hold a JSON object"),
+            ("[" * 100_000, "invalid JSON: nested too deeply"),
         ],
-        ids=["broken-json", "not-an-object"],
+        ids=["broken-json", "not-an-object", "nested-too-deeply"],
     )
     def test_bad_config_file_error_names_the_file(
         self, text, named, corpus_path, tmp_path, capsys
@@ -541,8 +543,9 @@ def test_resume_refuses_a_log_that_is_not_a_plan_prefix(
         (lambda lines: lines[:5] + [b""] + lines[5:20] + lines[19:], 6),
         (lambda lines: lines[:2] + [lines[2].replace(b'"raw": "', b'"raw": "caf\xe9 ', 1)]
          + lines[3:], 3),
+        (lambda lines: lines + [b"[" * 100_000], 61),
     ],
-    ids=["blank", "blank-then-duplicate", "not-utf8"],
+    ids=["blank", "blank-then-duplicate", "not-utf8", "nested-too-deeply"],
 )
 @pytest.mark.parametrize("command", ["simulate", "evaluate"])
 def test_a_log_line_that_is_not_one_record_is_a_one_line_error(

@@ -465,25 +465,23 @@ class TestDistractorMatch:
         assert math.isnan(result.chance_wrong_only) and math.isnan(result.chance_all_choices)
         assert result.model_ties == result.observed_ties == 0
 
-
     def test_the_tally_passes_every_reply_through_and_counts_wrong_choices(self):
         corpus = self.corpus()
-        first, second = (item.item_id for item in corpus.items[:2])
+        first, second = (item.item_id for item in corpus.items[:2])  # keys A and B
         responses = [
-            _response(second, "B", 0),
-            _response(first, "A", 0, student=1),
+            _response(second, "C", 0),
+            _response(first, "B", 0, student=1),
             _response(first, "A", 1, student=2),  # right, so not a distractor
-            _response(first, None, 0, status="failed", student=3),
-            _response(first, "C", 0, status="failed", student=4),  # failed parses never count
-            _response(first, None, 0, student=5),  # no letter, nothing to count
-            _response(second, "B", 0, status="recovered", student=6),
-            _response(first, "D", 0, student=7),
+            _response(first, None, 0, status="failed", student=3),  # failed parses never count
+            _response(first, None, 0, student=4),  # no letter, nothing to count
+            _response(second, "C", 0, status="recovered", student=5),
+            _response(first, "D", 0, student=6),
         ]
         counts = {}
         passed = tally_wrong_choices(iter(responses), counts)
         assert counts == {}  # nothing is read before it is consumed
         assert list(passed) == responses
-        assert counts == {second: {"B": 2}, first: {"A": 1, "D": 1}}
+        assert counts == {second: {"C": 2}, first: {"B": 1, "D": 1}}
         assert list(counts) == [second, first]
         assert distractor_agreement(counts, corpus) == distractor_match(responses, corpus)
 

@@ -338,6 +338,33 @@ class TestSimulate:
         assert final.completed
         assert (failing / RESPONSES_NAME).read_bytes() == reference
 
+    @pytest.mark.parametrize(
+        "reply", ["[" * 3000, "1+" * 100_000 + "1", "-" * 100_000 + "1"],
+        ids=["deep-list", "long-sum", "deep-negation"],
+    )
+    def test_a_reply_no_decoder_accepts_is_logged_as_a_failed_parse(
+        self, reply, world, tmp_path
+    ):
+        mock = MockStudentModel(
+            corpus=load_corpus(world["corpus_path"]), seed=world["config"].seed
+        )
+        odd_key = ("g8-0002", 5, 0)
+
+        class OneUndecodableReply:
+            def complete(self, request):
+                return reply if request.key == odd_key else mock.complete(request)
+
+        outcome = run_simulate(world["config"], out_dir=tmp_path, backend=OneUndecodableReply())
+        assert outcome.completed
+        lines = (tmp_path / RESPONSES_NAME).read_text(encoding="utf-8").splitlines()
+        reference = (world["run_dir"] / RESPONSES_NAME).read_text(encoding="utf-8").splitlines()
+        odd = 2 * N_STUDENTS + 5  # the line of g8-0002's sixth student
+        assert lines[:odd] + lines[odd + 1:] == reference[:odd] + reference[odd + 1:]
+        assert json.loads(lines[odd]) == {
+            **json.loads(reference[odd]),
+            "raw": reply, "chosen": None, "correct": 0, "parse_status": "failed",
+        }
+
     def test_failed_request_stops_sending(self, world):
         config = replace(world["config"], n_students=40, max_in_flight=8, max_retries=1)
         lock = threading.Lock()

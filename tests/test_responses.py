@@ -127,6 +127,24 @@ class TestParseAnswer:
     def test_five_choice_range(self):
         assert parse_answer("Answer Key: E", "ABCDE").chosen == "E"
 
+    @pytest.mark.parametrize(
+        "reply, expected",
+        [
+            ("[" * 3000, (None, ParseStatus.FAILED)),
+            ("1+" * 100_000 + "1", (None, ParseStatus.FAILED)),
+            ("-" * 100_000 + "1", (None, ParseStatus.FAILED)),
+            ("Answer Key: B {" + "1+" * 100_000 + "1}", ("B", ParseStatus.PARSED)),
+            ("[" * 3000 + "\nC", ("C", ParseStatus.RECOVERED)),
+        ],
+        ids=["deep-list", "long-sum", "deep-negation", "marker-beside-a-deep-span",
+             "letter-after-a-deep-list"],
+    )
+    def test_a_reply_no_decoder_accepts_falls_through_to_the_other_routes(
+        self, reply, expected
+    ):
+        parsed = parse_answer(reply, LETTERS)
+        assert (parsed.chosen, parsed.status) == expected
+
 
 class TestParsePercentage:
     def test_plain_integer(self):
@@ -214,7 +232,7 @@ class TestLog:
         batch = [make_response(student=i) for i in range(3)]
         log.append_batch(batch)
         log.append_batch([make_response(student=3)])
-        assert log.read_all() == batch + [make_response(student=3)]
+        assert log.read_all({}) == batch + [make_response(student=3)]
 
     def test_torn_final_line_is_repaired(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -222,7 +240,7 @@ class TestLog:
         log.append_batch([make_response(student=i) for i in range(3)])
         intact = path.read_bytes()
         path.write_bytes(intact + b'{"item_id": "it1", "stu')
-        responses = log.open_resumable()
+        responses = log.open_resumable({})
         assert path.read_bytes() == intact
         assert len(responses) == 3
 
@@ -235,13 +253,13 @@ class TestLog:
         log.append_batch(batch)
         written = path.read_bytes()
         assert written.count(b"\n") == 3 and "\u2028".encode("utf-8") in written
-        assert log.read_all() == batch
-        assert log.open_resumable() == batch
+        assert log.read_all({}) == batch
+        assert log.open_resumable({}) == batch
         assert path.read_bytes() == written
 
     def test_missing_file_is_empty(self, tmp_path):
         log = ResponseLog(str(tmp_path / "nope.jsonl"))
-        responses = log.open_resumable()
+        responses = log.open_resumable({})
         assert responses == []
         assert (tmp_path / "nope.jsonl").read_bytes() == b""
 
@@ -249,7 +267,7 @@ class TestLog:
         path = tmp_path / "r.jsonl"
         path.write_text('not json\n{"also": "incomplete"}\n', encoding="utf-8")
         with pytest.raises(ValueError):
-            ResponseLog(str(path)).read_all()
+            ResponseLog(str(path)).read_all({})
 
 
     def test_record_reads_the_fields_in_declaration_order(self):
@@ -295,7 +313,7 @@ class TestRecords:
         assert not isinstance(records, list)
         assert next(records) == batch[0]
         assert list(records) == batch[1:]
-        assert log.read_all() == batch
+        assert log.read_all({}) == batch
 
     def test_a_corrupt_line_fails_when_it_is_reached(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -309,6 +327,17 @@ class TestRecords:
             ValueError,
             match=rf"^{re.escape(str(path))}:4: corrupt response line: .*'student_index'",
         ):
+            next(records)
+
+    def test_a_line_nested_too_deeply_is_a_corrupt_line(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        log = ResponseLog(str(path))
+        log.append_batch([make_response()])
+        path.write_bytes(path.read_bytes() + b"[" * 100_000 + b"\n")
+        records = log.records({})
+        assert next(records) == make_response()
+        where = re.escape(f"{path}:2: corrupt response line: ")
+        with pytest.raises(ValueError, match=f"^{where}"):
             next(records)
 
     def test_a_missing_file_is_an_error(self, tmp_path):
@@ -396,7 +425,7 @@ class TestGradeAgreement:
         foreign = make_response(item="elsewhere", chosen_letter="Z", correct=0)
         misgraded = replace(right, student_index=1, correct=0)
         log.append_batch([right, foreign, misgraded])
-        assert log.read_all() == [right, foreign, misgraded]
+        assert log.read_all({}) == [right, foreign, misgraded]
         records = log.records(self.ITEMS)
         assert [next(records), next(records)] == [right, foreign]
         where = re.escape(
