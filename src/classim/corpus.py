@@ -63,7 +63,6 @@ class CorpusValidationError(CorpusError):
     0-based position in the file when it has no usable item_id."""
 
     def __init__(self, item: Union[str, int], field_name: str, message: str):
-        self.field_name = field_name
         where = f"item {item!r}" if isinstance(item, str) else f"record [{item}]"
         super().__init__(f"{where}, field {field_name!r}: {message}")
 

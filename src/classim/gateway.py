@@ -20,7 +20,6 @@ import time
 from collections import deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Protocol, Sequence, Tuple
 from urllib.parse import urlsplit
@@ -58,16 +57,14 @@ class RequestKey(NamedTuple):
     replicate: int
 
 
-@dataclass(frozen=True)
-class CompletionRequest:
+class CompletionRequest(NamedTuple):
     prompt: RenderedPrompt
     key: RequestKey
     temperature: float
     skill: Optional[SkillLevel] = None
 
 
-@dataclass(frozen=True)
-class CompletionRecord:
+class CompletionRecord(NamedTuple):
     request: CompletionRequest
     text: str
     ok: bool

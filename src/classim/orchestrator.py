@@ -426,9 +426,7 @@ def _capture_line(record: CompletionRecord) -> str:
     request = record.request
     return json.dumps(
         {
-            "item_id": request.key.item_id,
-            "student_index": request.key.student_index,
-            "replicate": request.key.replicate,
+            **request.key._asdict(),
             "system": request.prompt.system,
             "user": request.prompt.user,
             "text": record.text,
@@ -546,9 +544,7 @@ def _collect(
                 chosen, correct, status = grader(item, record.text)
                 graded.append(
                     SimulatedResponse(
-                        item_id=item.item_id,
-                        student_index=request.key.student_index,
-                        replicate=request.key.replicate,
+                        *request.key,  # item_id, student_index, replicate
                         skill="" if request.skill is None else request.skill.value,
                         raw=record.text,
                         chosen=chosen,
@@ -728,7 +724,7 @@ def evaluate_predictions(
         real.append(item.real_percent_correct)
         used.append(item.item_id)
     if len(sim) < 3:
-        raise ValueError("need at least 3 predicted items to evaluate")
+        raise ValueError(f"need at least 3 predicted items to evaluate, got {len(sim)}")
     labels = {item.item_id: item.difficulty_label for item in corpus}
     pred_map = {item_id: value for item_id, value in zip(used, sim)}
     method = "permutation" if len(sim) < PERMUTATION_BELOW else "t"
@@ -787,10 +783,14 @@ def evaluate_run(
     corpus = _load_run_corpus(config)
     predictions_payload = _read_predictions(run_path / PREDICTIONS_NAME)
     predictions: Dict[str, Optional[float]] = predictions_payload["predictions"]
+    try:
+        metrics = evaluate_predictions(predictions, corpus, seed=config.seed)
+    except ValueError as exc:
+        raise ValueError(f"run {run_path}: {exc}") from None
     evaluation: Dict[str, object] = {
         "manifest_hash": manifest["manifest_hash"],
         "mode": manifest["mode"],
-        "metrics": evaluate_predictions(predictions, corpus, seed=config.seed),
+        "metrics": metrics,
         "parse_counts": predictions_payload["parse_counts"],
     }
 

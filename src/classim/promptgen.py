@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from typing import Callable, Dict, Hashable, Mapping, Tuple
+from typing import Callable, Dict, Hashable, Mapping, NamedTuple, Tuple
 
 from .classroom import SkillLevel, StudentProfile
 from .corpus import Item
@@ -71,8 +71,7 @@ class PromptError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RenderedPrompt:
+class RenderedPrompt(NamedTuple):
     """A fully substituted chat exchange ready for a completion request."""
 
     system: str

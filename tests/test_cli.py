@@ -727,6 +727,19 @@ def test_evaluate_of_a_simulate_run_needs_its_log_and_fit(name, corpus_path, tmp
     assert not (out / "evaluation.json").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "report"])
+def test_a_run_with_too_few_predicted_items_is_named(command, tmp_path, capsys):
+    corpus = write_corpus(tmp_path / "two.json", [make_item_record(i) for i in range(2)])
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--corpus", corpus, "--mock", "--n", "10", "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli(command, "--run", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: run {out}: need at least 3 predicted items to evaluate, got 2\n"
+    )
+    assert not (out / "evaluation.json").exists()
+
+
 def test_an_undefined_correlation_is_written_as_null(corpus_path, tmp_path, capsys):
     out = tmp_path / "dpce"
     config = tmp_path / "constant.json"

@@ -1,14 +1,17 @@
 import json
 import random
 import re
-from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
 from classim import responses as responses_module
+from classim.classroom import SkillLevel
+from classim.gateway import CompletionRecord, CompletionRequest, RequestKey
+from classim.promptgen import PromptKind, RenderedPrompt
 from classim.responses import (
     NO_STUDENT,
+    ParsedAnswer,
     ParseStatus,
     ResponseLog,
     ResponseMatrix,
@@ -224,7 +227,7 @@ class TestLog:
             chosen=chosen, correct=0, parse_status="failed" if chosen is None else "parsed",
         )
         line = response_line(response)
-        assert line == json.dumps(response.to_record(), ensure_ascii=False)
+        assert line == json.dumps(response._asdict(), ensure_ascii=False)
         assert SimulatedResponse.from_record(json.loads(line)) == response
 
     def test_append_and_read(self, tmp_path):
@@ -248,7 +251,7 @@ class TestLog:
         # json writes these raw; str.splitlines would break a line at each
         path = tmp_path / "r.jsonl"
         log = ResponseLog(str(path))
-        odd = replace(make_response(student=1), raw="one\u2028two\u2029three\x85four")
+        odd = make_response(student=1)._replace(raw="one\u2028two\u2029three\x85four")
         batch = [make_response(student=0), odd, make_response(student=2)]
         log.append_batch(batch)
         written = path.read_bytes()
@@ -272,14 +275,13 @@ class TestLog:
 
     def test_record_reads_the_fields_in_declaration_order(self):
         response = make_response()
-        assert list(response.to_record()) == [field.name for field in fields(SimulatedResponse)]
-        assert [*response.to_record().values()] == [
-            getattr(response, field.name) for field in fields(SimulatedResponse)
-        ]
+        record = json.loads(response_line(response))
+        assert list(record) == list(SimulatedResponse._fields)
+        assert [*record.values()] == list(response)
 
     @pytest.mark.parametrize("field, value", OUT_OF_DOMAIN, ids=OUT_OF_DOMAIN_IDS)
     def test_a_value_outside_its_field_is_named(self, field, value):
-        record = {**make_response().to_record(), field: value}
+        record = {**make_response()._asdict(), field: value}
         with pytest.raises(ValueError, match=rf"^response field '{field}' must be "):
             SimulatedResponse.from_record(record)
 
@@ -290,18 +292,44 @@ class TestLog:
          *(("parse_status", status.value) for status in ParseStatus)],
     )
     def test_a_value_at_the_edge_of_its_field_is_read(self, field, value):
-        record = {**make_response().to_record(), field: value}
-        assert SimulatedResponse.from_record(record).to_record() == record
+        record = {**make_response()._asdict(), field: value}
+        assert SimulatedResponse.from_record(record)._asdict() == record
 
-    def test_records_are_slotted_frozen_values(self):
-        response = make_response()
-        assert not hasattr(response, "__dict__")
-        with pytest.raises(FrozenInstanceError):
-            response.correct = 0
-        assert response == make_response() and hash(response) == hash(make_response())
-        assert response != make_response(correct=0)
-        assert replace(response, correct=0) == make_response(correct=0)
-        assert {response, make_response()} == {response}
+    @pytest.mark.parametrize(
+        "make, fields, change",
+        [
+            (lambda: RenderedPrompt("s", "u", PromptKind.STUDENT),
+             ("system", "user", "kind"), {"user": "v"}),
+            (lambda: CompletionRequest(
+                RenderedPrompt("s", "u", PromptKind.STUDENT), RequestKey("it1", 0, 0), 0.7),
+             ("prompt", "key", "temperature", "skill"), {"skill": SkillLevel.BASIC}),
+            (lambda: CompletionRecord(
+                CompletionRequest(
+                    RenderedPrompt("s", "u", PromptKind.KNOWLEDGE), RequestKey("it1", -1, 0), 0.0
+                ),
+                "Answer Key: A", True, 1),
+             ("request", "text", "ok", "attempts", "error"), {"ok": False, "error": "x"}),
+            (lambda: ParsedAnswer("A", ParseStatus.PARSED),
+             ("chosen", "status"), {"chosen": None, "status": ParseStatus.FAILED}),
+            (make_response,
+             ("item_id", "student_index", "replicate", "skill", "raw", "chosen", "correct",
+              "parse_status"), {"correct": 0}),
+        ],
+        ids=["RenderedPrompt", "CompletionRequest", "CompletionRecord", "ParsedAnswer",
+             "SimulatedResponse"],
+    )
+    def test_per_request_values_are_immutable_tuples(self, make, fields, change):
+        value = make()
+        assert isinstance(value, tuple) and type(value)._fields == fields
+        assert not hasattr(value, "__dict__")
+        name = next(iter(change))
+        with pytest.raises(AttributeError):
+            setattr(value, name, change[name])
+        assert value == make() and hash(value) == hash(make())
+        assert {value, make()} == {value}
+        changed = value._replace(**change)
+        assert changed != value and value == make()
+        assert [getattr(changed, field) for field in change] == list(change.values())
 
 
 class TestRecords:
@@ -375,8 +403,8 @@ class TestGradeAgreement:
         ids=["right", "wrong", "failed", "no-letter"],
     )
     def test_the_grades_classim_writes_agree(self, chosen, correct, status):
-        response = replace(
-            make_response(item="g8-0001"), chosen=chosen, correct=correct, parse_status=status
+        response = make_response(item="g8-0001")._replace(
+            chosen=chosen, correct=correct, parse_status=status
         )
         assert grade_disagreement(response, self.ITEMS["g8-0001"]) is None
 
@@ -411,9 +439,8 @@ class TestGradeAgreement:
     def test_a_grade_that_disagrees_with_its_letter_is_named(
         self, chosen, correct, status, named
     ):
-        response = replace(
-            make_response(item="g8-0001", student=3), chosen=chosen, correct=correct,
-            parse_status=status,
+        response = make_response(item="g8-0001", student=3)._replace(
+            chosen=chosen, correct=correct, parse_status=status
         )
         problem = grade_disagreement(response, self.ITEMS["g8-0001"])
         assert problem == f"reply ('g8-0001', 3, 0) {named}"
@@ -421,9 +448,9 @@ class TestGradeAgreement:
     def test_records_check_grades_of_the_items_given_only(self, tmp_path):
         path = tmp_path / "r.jsonl"
         log = ResponseLog(str(path))
-        right = replace(make_response(item="g8-0001"), chosen="B")
+        right = make_response(item="g8-0001")._replace(chosen="B")
         foreign = make_response(item="elsewhere", chosen_letter="Z", correct=0)
-        misgraded = replace(right, student_index=1, correct=0)
+        misgraded = right._replace(student_index=1, correct=0)
         log.append_batch([right, foreign, misgraded])
         assert log.read_all({}) == [right, foreign, misgraded]
         records = log.records(self.ITEMS)
@@ -601,7 +628,7 @@ def _random_replies(rng, item_ids, clash):
     rng.shuffle(replies)
     if clash:
         at = rng.randrange(len(replies))
-        replies[at] = replace(replies[at], skill="Other")
+        replies[at] = replies[at]._replace(skill="Other")
     return replies
 
 
