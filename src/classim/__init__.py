@@ -15,7 +15,7 @@ from .classroom import (
     sample_classroom,
     strategy_kind,
 )
-from .corpus import Corpus, Item, filter_corpus, load_corpus, save_corpus
+from .corpus import Corpus, Item, filter_corpus, load_corpus
 from .gateway import Gateway, HttpChatBackend, MockStudentModel
 from .irt import FitResult, fit_rasch, rasch_probability
 from .metrics import (
@@ -49,7 +49,6 @@ __all__ = [
     "Item",
     "filter_corpus",
     "load_corpus",
-    "save_corpus",
     "Gateway",
     "HttpChatBackend",
     "MockStudentModel",

@@ -1,15 +1,15 @@
 """Item corpus loading, validation, and filtering.
 
 The corpus file is a single UTF-8 JSON array of item records. Items are
-validated whole at load time; unknown extra fields are carried along
-opaquely so richer exports survive a round trip.
+validated whole at load time; fields it does not know are accepted and
+ignored, so richer exports load as they are.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -81,7 +81,6 @@ class Item:
     real_percent_correct: float
     real_choice_distribution: Optional[dict[str, float]] = None
     real_subgroup_percent_correct: Optional[dict[str, float]] = None
-    extra: dict = field(default_factory=dict, compare=False)
 
     @cached_property
     def choice_letters(self) -> tuple[str, ...]:
@@ -179,8 +178,7 @@ def read_json(path: str | Path, kind: type, what: str, error: type = ValueError)
 
 
 # The JSON kinds of an item record's fields, as the file spells them; a
-# field that may be null may also be absent. Other fields ride along in
-# ``Item.extra``.
+# field that may be null may also be absent. Other fields are ignored.
 _RECORD_KINDS: Dict[str, Tuple[type, ...]] = {
     "item_id": (str,),
     "grade": (int,),
@@ -295,7 +293,6 @@ def _validate_item(record: object, position: int) -> Item:
             item_id, "real_subgroup_percent_correct",
             record.get("real_subgroup_percent_correct"), "subgroup", 1,
         ),
-        extra={k: v for k, v in record.items() if k not in _RECORD_KINDS},
     )
 
 
@@ -314,31 +311,6 @@ def load_corpus(path: str | Path) -> Corpus:
         Path(path), list, "corpus must be a JSON array of item records", CorpusParseError
     )
     return parse_corpus_records(records)
-
-
-def item_to_record(item: Item) -> dict:
-    record = {
-        "item_id": item.item_id,
-        "grade": item.grade,
-        "content_area": item.content_area.value,
-        "difficulty": item.difficulty_label,
-        "stem": item.stem,
-        "choices": [{"letter": letter, "text": text} for letter, text in item.choices],
-        "correct_key": item.correct_key,
-        "real_percent_correct": item.real_percent_correct,
-    }
-    if item.real_choice_distribution is not None:
-        record["real_choice_distribution"] = dict(item.real_choice_distribution)
-    if item.real_subgroup_percent_correct is not None:
-        record["real_subgroup_percent_correct"] = dict(item.real_subgroup_percent_correct)
-    record.update(item.extra)
-    return record
-
-
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the corpus back out in canonical form (load/save round-trips)."""
-    payload = [item_to_record(item) for item in corpus]
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=False), encoding="utf-8")
 
 
 def filter_corpus(corpus: Corpus, grade: int) -> Corpus:

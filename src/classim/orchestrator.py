@@ -400,13 +400,6 @@ def _prepare_out_dir(
     return out_path, log, log.open_resumable(items)
 
 
-def _count_statuses(responses: Sequence[SimulatedResponse]) -> Dict[str, int]:
-    counts = {status.value: 0 for status in ParseStatus}
-    for response in responses:
-        counts[response.parse_status] += 1
-    return counts
-
-
 # A grader turns one reply into (chosen letter, correct, parse status).
 Grader = Callable[[Item, str], Tuple[Optional[str], int, ParseStatus]]
 Renderer = Callable[[Item, Optional[StudentProfile], PromptTemplates], RenderedPrompt]
@@ -563,24 +556,56 @@ def _collect(
         out_dir=out_path,
         responses=responses,
         completed=len(responses) == n_requests,
-        parse_counts=_count_statuses(responses),
     )
     return outcome, corpus
 
 
-def _write_predictions(outcome: RunOutcome, fields: Mapping[str, object]) -> None:
-    """Write ``predictions.json``: the mode's own ``fields`` between the
-    run's identity and its parse counts."""
+def _derive_predictions(
+    config: ExperimentConfig, corpus: Corpus, responses: Iterable[SimulatedResponse]
+) -> Tuple[Dict[str, object], Optional[ResponseMatrix]]:
+    """The ``predictions.json`` fields of a ``config.mode`` run whose graded
+    replies are ``responses``, parse counts last, and for simulate its
+    response matrix, from one pass over ``responses``."""
+    counts = {status.value: 0 for status in ParseStatus}
+
+    def counted() -> Iterator[SimulatedResponse]:
+        for response in responses:
+            counts[response.parse_status] += 1
+            yield response
+
+    item_ids = [item.item_id for item in corpus]
+    matrix = None
+    if config.mode == "simulate":
+        matrix = build_matrix(counted(), item_ids, mask_failed=config.mask_failed)
+        rates = matrix.item_success_rates().tolist()
+        predictions = {i: None if math.isnan(rate) else rate for i, rate in zip(item_ids, rates)}
+        fields: Dict[str, object] = {"predictions": predictions}
+    elif config.mode == "dpce":
+        parsed = ((response.item_id, parse_percentage(response.raw)) for response in counted())
+        fields = {"variant": config.dpce_variant, "predictions": direct_estimates(parsed, item_ids)}
+    else:  # baseline: one reply per item, in corpus order
+        correct = {response.item_id: float(response.correct) for response in counted()}
+        fields = {"predictions": correct, "accuracy": sum(correct.values()) / len(correct)}
+    return {**fields, "parse_counts": counts}, matrix
+
+
+def _finish(config: ExperimentConfig, outcome: RunOutcome, corpus: Corpus) -> RunOutcome:
+    """Give ``outcome`` its parse counts and, once the run is complete, its
+    predictions and, for simulate, its matrix and fit; then write
+    ``fit.json``, if there is a fit, and ``predictions.json``."""
+    fields, matrix = _derive_predictions(config, corpus, outcome.responses)
+    outcome.parse_counts = fields["parse_counts"]
+    if not outcome.completed:
+        return outcome
+    outcome.predictions, outcome.matrix = fields["predictions"], matrix
+    if matrix is not None:
+        outcome.fit = fit_rasch(matrix)
     if outcome.out_dir is not None:
-        _write_json(
-            outcome.out_dir / PREDICTIONS_NAME,
-            {
-                "manifest_hash": outcome.manifest["manifest_hash"],
-                "mode": outcome.manifest["mode"],
-                **fields,
-                "parse_counts": outcome.parse_counts,
-            },
-        )
+        identity = {"manifest_hash": outcome.manifest["manifest_hash"]}
+        if outcome.fit is not None:
+            _write_json(outcome.out_dir / FIT_NAME, {**outcome.fit.to_json_dict(), **identity})
+        _write_json(outcome.out_dir / PREDICTIONS_NAME, {**identity, "mode": config.mode, **fields})
+    return outcome
 
 
 def run_simulate(
@@ -607,26 +632,7 @@ def run_simulate(
         grader=_grade_choice,
         max_requests=max_requests,
     )
-    if not outcome.completed:
-        return outcome
-
-    item_ids = [item.item_id for item in corpus]
-    matrix = build_matrix(outcome.responses, item_ids, mask_failed=config.mask_failed)
-    fit = fit_rasch(matrix)
-    rates = matrix.item_success_rates()
-    predictions: Dict[str, Optional[float]] = {}
-    for j, item_id in enumerate(matrix.item_ids):
-        value = float(rates[j])
-        predictions[item_id] = None if math.isnan(value) else value
-    outcome.matrix = matrix
-    outcome.fit = fit
-    outcome.predictions = predictions
-    if outcome.out_dir is not None:
-        fit_payload = fit.to_json_dict()
-        fit_payload["manifest_hash"] = outcome.manifest["manifest_hash"]
-        _write_json(outcome.out_dir / FIT_NAME, fit_payload)
-    _write_predictions(outcome, {"predictions": predictions})
-    return outcome
+    return _finish(config, outcome, corpus)
 
 
 def run_dpce(
@@ -654,18 +660,7 @@ def run_dpce(
         render=lambda item, _, templates: render_direct_percentage_prompt(item, templates),
         grader=_grade_percentage,
     )
-    if not outcome.completed:
-        return outcome
-    item_ids = [item.item_id for item in corpus]
-    parsed = [
-        (response.item_id, parse_percentage(response.raw))
-        for response in outcome.responses
-    ]
-    outcome.predictions = direct_estimates(parsed, item_ids)
-    _write_predictions(
-        outcome, {"variant": config.dpce_variant, "predictions": outcome.predictions}
-    )
-    return outcome
+    return _finish(config, outcome, corpus)
 
 
 def run_baseline(
@@ -690,13 +685,7 @@ def run_baseline(
         render=lambda item, _, templates: render_knowledge_prompt(item, templates),
         grader=_grade_choice,
     )
-    if not outcome.completed:
-        return outcome
-    per_item = {r.item_id: float(r.correct) for r in outcome.responses}
-    outcome.predictions = {item.item_id: per_item[item.item_id] for item in corpus}
-    accuracy = sum(per_item.values()) / len(per_item)
-    _write_predictions(outcome, {"predictions": outcome.predictions, "accuracy": accuracy})
-    return outcome
+    return _finish(config, outcome, corpus)
 
 
 def _correlation_payload(result: CorrelationResult, method: str) -> Dict[str, object]:
@@ -769,20 +758,39 @@ def evaluate_run(
 ) -> Dict[str, object]:
     """Score a finished run directory against its corpus.
 
-    Always reports the correlation and separation numbers; simulate runs
-    additionally get per-skill correctness, distractor agreement and,
-    when the roster carries demographics and the corpus carries subgroup
-    rates, per-subgroup correlations. The output embeds the run's
-    manifest hash and nothing time-dependent, so evaluating twice writes
-    identical bytes.
+    A simulate run's predictions and parse counts are derived from its
+    log, which must hold every reply its manifest counts; the other modes'
+    are read from ``predictions.json``. Always reports the correlation and
+    separation numbers; simulate runs additionally get per-skill
+    correctness, distractor agreement and, when the roster carries
+    demographics and the corpus carries subgroup rates, per-subgroup
+    correlations. The output embeds the run's manifest hash and nothing
+    time-dependent, so evaluating twice writes identical bytes.
     """
     run_path = Path(run_dir)
-    manifest, config = _read_manifest(run_path, manifest_hash=str, mode=str)
+    manifest, config = _read_manifest(run_path, counts=dict, manifest_hash=str, mode=str)
     if corpus_path is not None:
         config = replace(config, corpus_path=corpus_path)
     corpus = _load_run_corpus(config)
-    predictions_payload = _read_predictions(run_path / PREDICTIONS_NAME)
-    predictions: Dict[str, Optional[float]] = predictions_payload["predictions"]
+    matrix = None
+    if config.mode == "simulate":
+        requests = manifest["counts"].get("requests")
+        check_kind(f"{run_path / MANIFEST_NAME}: counts field 'requests'", requests, (int,))
+        # one pass over the log, which is never held whole
+        log = ResponseLog(str(run_path / RESPONSES_NAME))
+        wrong_choices: Dict[str, Dict[str, int]] = {}
+        fields, matrix = _derive_predictions(
+            config, corpus, tally_wrong_choices(log.records(corpus.by_id), wrong_choices)
+        )
+        logged = sum(fields["parse_counts"].values())
+        if logged != requests:
+            raise ValueError(
+                f"run {run_path}: {logged} of {requests} replies logged; "
+                "evaluate needs one per request"
+            )
+    else:
+        fields = _read_predictions(run_path / PREDICTIONS_NAME)
+    predictions: Dict[str, Optional[float]] = fields["predictions"]
     try:
         metrics = evaluate_predictions(predictions, corpus, seed=config.seed)
     except ValueError as exc:
@@ -791,18 +799,10 @@ def evaluate_run(
         "manifest_hash": manifest["manifest_hash"],
         "mode": manifest["mode"],
         "metrics": metrics,
-        "parse_counts": predictions_payload["parse_counts"],
+        "parse_counts": fields["parse_counts"],
     }
 
-    if manifest["mode"] == "simulate":
-        # one pass over the log, which is never held whole
-        log = ResponseLog(str(run_path / RESPONSES_NAME))
-        wrong_choices: Dict[str, Dict[str, int]] = {}
-        matrix = build_matrix(
-            tally_wrong_choices(log.records(corpus.by_id), wrong_choices),
-            [item.item_id for item in corpus],
-            mask_failed=config.mask_failed,
-        )
+    if matrix is not None:
         evaluation["skill_correctness"] = skill_correctness(matrix)
         evaluation["distractor_match"] = asdict(distractor_agreement(wrong_choices, corpus))
         groups = _demographic_groups(config.roster())

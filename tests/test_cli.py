@@ -463,6 +463,9 @@ def _predict(item_id, value):
          _set_in("metrics", "pearson", {"r": "high", "p_value": None, "n": 6}),
          "malformed content: ValueError"),
         ("report", "evaluation.json", _drop("parse_counts"), "missing field 'parse_counts'"),
+        ("evaluate", "manifest.json", _set("counts", 3), "field 'counts' must be"),
+        ("evaluate", "manifest.json", _set_in("counts", "requests", "60"),
+         "counts field 'requests' must be int, got '60'"),
     ],
     ids=[
         "fit-field", "fit-list", "predictions-field", "predictions-json",
@@ -473,7 +476,8 @@ def _predict(item_id, value):
         "report-fit-beta-number", "report-metrics-list", "report-counts-number",
         "fit-beta-list", "predictions-parse-counts-number", "predictions-nan",
         "ensemble-predictions-nan", "predictions-huge", "ensemble-predictions-huge",
-        "report-r-string", "report-parse-counts",
+        "report-r-string", "report-parse-counts", "manifest-counts-number",
+        "manifest-requests-string",
     ],
 )
 def test_unreadable_run_file_is_a_one_line_error(
@@ -481,6 +485,8 @@ def test_unreadable_run_file_is_a_one_line_error(
 ):
     out = tmp_path / "run"
     argv = ["simulate", "--corpus", corpus_path, "--mock", "--n", "10", "--out", str(out)]
+    if (command, name) == ("evaluate", "predictions.json"):
+        argv[0] = "dpce"  # evaluate derives a simulate run's predictions from its log
     assert run_cli(*argv) == 0
     assert run_cli("evaluate", "--run", str(out)) == 0
     path = out / name
@@ -727,6 +733,50 @@ def test_evaluate_of_a_simulate_run_needs_its_log_and_fit(name, corpus_path, tmp
     assert not (out / "evaluation.json").exists()
 
 
+def test_evaluate_of_a_simulate_run_takes_its_predictions_from_the_log(
+    corpus_path, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    argv = ["simulate", "--corpus", corpus_path, "--mock", "--n", "10", "--out", str(out)]
+    assert run_cli(*argv) == 0
+    assert run_cli("evaluate", "--run", str(out)) == 0
+    derived = {name: (out / name).read_bytes() for name in ("evaluation.json", "evaluation.csv")}
+    path = out / "predictions.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["predictions"] = {
+        item_id: (value + 0.5) % 1 for item_id, value in payload["predictions"].items()
+    }
+    payload["parse_counts"] = {status: 0 for status in payload["parse_counts"]}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert run_cli("evaluate", "--run", str(out)) == 0
+    assert {name: (out / name).read_bytes() for name in derived} == derived
+
+
+@pytest.mark.parametrize("how", ["stopped", "lost-lines", "over-long"])
+def test_evaluate_refuses_a_simulate_log_without_one_reply_per_request(
+    how, corpus_path, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    if how == "stopped":
+        config = ExperimentConfig(corpus_path=corpus_path, mock=True, n_students=10)
+        assert not orchestrator.run_simulate(config, out_dir=out, max_requests=45).completed
+        logged = 45
+    else:
+        argv = ["simulate", "--corpus", corpus_path, "--mock", "--n", "10", "--out", str(out)]
+        assert run_cli(*argv) == 0
+        log = out / "responses.jsonl"
+        lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines = lines[:45] if how == "lost-lines" else lines + lines[-1:]
+        log.write_text("".join(lines), encoding="utf-8")
+        logged = len(lines)
+    capsys.readouterr()
+    assert run_cli("evaluate", "--run", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: run {out}: {logged} of 60 replies logged; evaluate needs one per request\n"
+    )
+    assert not any((out / name).exists() for name in ("evaluation.json", "evaluation.csv"))
+
+
 @pytest.mark.parametrize("command", ["evaluate", "report"])
 def test_a_run_with_too_few_predicted_items_is_named(command, tmp_path, capsys):
     corpus = write_corpus(tmp_path / "two.json", [make_item_record(i) for i in range(2)])
@@ -777,6 +827,7 @@ def test_a_file_that_is_not_utf8_is_named(which, corpus_path, tmp_path, capsys):
         path.write_bytes(text.replace(b'"stem": "', b'"stem": "caf\xe9 ', 1))
         argv[2] = str(path)
     else:
+        argv[0] = "dpce"  # evaluate derives a simulate run's predictions from its log
         assert run_cli(*argv) == 0
         path = out / "predictions.json"
         path.write_bytes(path.read_bytes().replace(b'"mode": "', b'"mode": "\xe9', 1))
